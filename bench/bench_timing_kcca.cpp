@@ -8,10 +8,15 @@
 // the same training job at QPP_THREADS = 1, 2, 8, verifying the models
 // are byte-identical and reporting wall-clock speedup. `--quick` runs a
 // smaller N and skips the google-benchmark suites (CI smoke); `--json-out
-// FILE` writes the report as JSON for artifact upload.
+// FILE` writes the report as JSON for artifact upload. The report also
+// splits one ICD training into its stages (ICD of x, ICD of y, the CCA fit
+// and the eigensolve inside it) and times the exact path's N x N
+// eigensolve at N = 230, the golf-ball expert's size.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -21,8 +26,15 @@
 
 #include "bench_util.h"
 #include "catalog/tpcds.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "core/predictor.h"
+#include "linalg/cholesky.h"
+#include "linalg/eigen_sym.h"
+#include "linalg/incomplete_cholesky.h"
+#include "ml/cca.h"
+#include "ml/kernel.h"
+#include "ml/preprocess.h"
 #include "par/simd.h"
 #include "par/thread_pool.h"
 
@@ -120,6 +132,158 @@ void BM_SimulateQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateQuery)->Unit(benchmark::kMicrosecond);
 
+/// Wall milliseconds of the training stages that dominate a retrain.
+struct StageTimes {
+  size_t n = 0;
+  size_t rank_x = 0;
+  size_t rank_y = 0;
+  double icd_x_ms = 0.0;
+  double icd_y_ms = 0.0;
+  double cca_fit_ms = 0.0;   ///< ml::FitCca, eigensolve included
+  double eigen_ms = 0.0;     ///< the rank_x-square eigensolve FitCca runs
+  size_t exact_n = 0;
+  double exact_eigen_ms = 0.0;  ///< the exact path's N x N eigensolve
+};
+
+double MsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Both views preprocessed the way Predictor::Train does.
+struct Views {
+  linalg::Matrix x, y;
+};
+
+Views Preprocess(const std::vector<ml::TrainingExample>& examples) {
+  const ml::FeatureMatrices mats = ml::StackExamples(examples);
+  ml::Preprocessor px(true, true);
+  px.Fit(mats.x);
+  ml::Preprocessor py(true, true);
+  py.Fit(mats.y);
+  return {px.Transform(mats.x), py.Transform(mats.y)};
+}
+
+/// The symmetric problem ml::FitCca hands to TopKEigenSymmetric, rebuilt
+/// with the same steps (centered covariances, relative ridge, Cholesky
+/// whitening, S = M M^T).
+linalg::Matrix CcaProblem(const linalg::Matrix& x, const linalg::Matrix& y,
+                          double reg) {
+  const auto centered = [](const linalg::Matrix& m) {
+    linalg::Matrix c = m;
+    for (size_t j = 0; j < m.cols(); ++j) {
+      double s = 0.0;
+      for (size_t i = 0; i < m.rows(); ++i) s += m(i, j);
+      const double mean = s / static_cast<double>(m.rows());
+      for (size_t i = 0; i < m.rows(); ++i) c(i, j) = m(i, j) - mean;
+    }
+    return c;
+  };
+  const auto ridge = [reg](linalg::Matrix* c) {
+    double mean_diag = 0.0;
+    for (size_t i = 0; i < c->rows(); ++i) mean_diag += (*c)(i, i);
+    mean_diag /= std::max<double>(static_cast<double>(c->rows()), 1.0);
+    if (mean_diag <= 0.0) mean_diag = 1.0;
+    c->AddToDiagonal(reg * mean_diag + 1e-12);
+  };
+  const linalg::Matrix xc = centered(x);
+  const linalg::Matrix yc = centered(y);
+  const double inv_n = 1.0 / static_cast<double>(x.rows() - 1);
+  linalg::Matrix cxx = xc.TransposeMultiply(xc).Scale(inv_n);
+  linalg::Matrix cyy = yc.TransposeMultiply(yc).Scale(inv_n);
+  const linalg::Matrix cxy = xc.TransposeMultiply(yc).Scale(inv_n);
+  ridge(&cxx);
+  ridge(&cyy);
+  const linalg::Cholesky lx(cxx, 1e-3);
+  const linalg::Cholesky ly(cyy, 1e-3);
+  QPP_CHECK(lx.ok() && ly.ok());
+  const linalg::Matrix u1 = lx.SolveLowerMatrix(cxy);
+  const linalg::Matrix m = ly.SolveLowerMatrix(u1.Transpose()).Transpose();
+  return m.MultiplyTranspose(m);
+}
+
+/// The exact path's S = Lx^-1 (Kx Ky) My^-1 (Ky Kx) Lx^-T, rebuilt with
+/// the steps of ml::KccaModel::Train.
+linalg::Matrix ExactProblem(const Views& v, const ml::KccaOptions& opt) {
+  const size_t n = v.x.rows();
+  linalg::Matrix kx = ml::KernelMatrix(
+      v.x, {ml::GaussianScaleFromNorms(v.x, opt.tau_factor_x)});
+  linalg::Matrix ky = ml::KernelMatrix(
+      v.y, {ml::GaussianScaleFromNorms(v.y, opt.tau_factor_y)});
+  ml::CenterKernelMatrix(&kx);
+  ml::CenterKernelMatrix(&ky);
+  const auto system = [&](const linalg::Matrix& k) {
+    const double kappa =
+        opt.kappa * k.FrobeniusNorm() / std::sqrt(static_cast<double>(n));
+    linalg::Matrix m = k.Multiply(k).Add(k.Scale(kappa));
+    m.AddToDiagonal(1e-8 * std::max(m.MaxAbs(), 1.0));
+    return m;
+  };
+  const linalg::Cholesky lx(system(kx), 1e-2);
+  const linalg::Cholesky ly(system(ky), 1e-2);
+  QPP_CHECK(lx.ok() && ly.ok());
+  const linalg::Matrix u1 = lx.SolveLowerMatrix(kx.Multiply(ky));
+  const linalg::Matrix g = ly.SolveLowerMatrix(u1.Transpose()).Transpose();
+  return g.MultiplyTranspose(g);
+}
+
+StageTimes RunStageTimes(const std::vector<ml::TrainingExample>& examples,
+                         const std::vector<ml::TrainingExample>& exact) {
+  StageTimes st;
+  const ml::KccaOptions opt;
+  const Views v = Preprocess(examples);
+  st.n = v.x.rows();
+  // The KCCA ICD kernel oracles: exp(-||a - b||^2 / tau), 1 on the diagonal.
+  const auto oracle = [](const linalg::Matrix& m, double tau) {
+    return [&m, tau](size_t i, size_t j) {
+      if (i == j) return 1.0;
+      const double* a = m.data().data() + i * m.cols();
+      const double* b = m.data().data() + j * m.cols();
+      double s = 0.0;
+      for (size_t k = 0; k < m.cols(); ++k) {
+        const double d = a[k] - b[k];
+        s += d * d;
+      }
+      return std::exp(-s / tau);
+    };
+  };
+  const double tau_x = ml::GaussianScaleFromNorms(v.x, opt.tau_factor_x);
+  const double tau_y = ml::GaussianScaleFromNorms(v.y, opt.tau_factor_y);
+  auto t0 = std::chrono::steady_clock::now();
+  const linalg::IncompleteCholeskyResult icx = linalg::IncompleteCholesky(
+      st.n, oracle(v.x, tau_x), opt.icd_max_rank, opt.icd_tolerance);
+  st.icd_x_ms = MsSince(t0);
+  t0 = std::chrono::steady_clock::now();
+  const linalg::IncompleteCholeskyResult icy = linalg::IncompleteCholesky(
+      st.n, oracle(v.y, tau_y), opt.icd_max_rank, opt.icd_tolerance);
+  st.icd_y_ms = MsSince(t0);
+  st.rank_x = icx.pivots.size();
+  st.rank_y = icy.pivots.size();
+
+  const size_t d = std::min({opt.num_dims, st.rank_x, st.rank_y});
+  t0 = std::chrono::steady_clock::now();
+  const ml::CcaModel cca = ml::FitCca(icx.g, icy.g, d, opt.kappa);
+  st.cca_fit_ms = MsSince(t0);
+  const linalg::Matrix s = CcaProblem(icx.g, icy.g, opt.kappa);
+  t0 = std::chrono::steady_clock::now();
+  const linalg::TopEigen top = linalg::TopKEigenSymmetric(s, d);
+  st.eigen_ms = MsSince(t0);
+  // The rebuilt problem must be the one FitCca solved.
+  QPP_CHECK(top.converged &&
+            std::min(std::sqrt(std::max(top.values[0], 0.0)), 1.0) ==
+                cca.correlations[0]);
+
+  const linalg::Matrix se = ExactProblem(Preprocess(exact), opt);
+  st.exact_n = se.rows();
+  t0 = std::chrono::steady_clock::now();
+  const linalg::TopEigen etop =
+      linalg::TopKEigenSymmetric(se, std::min(opt.num_dims, st.exact_n));
+  st.exact_eigen_ms = MsSince(t0);
+  QPP_CHECK(etop.converged);
+  return st;
+}
+
 struct ThreadScalingReport {
   size_t n = 0;
   size_t threads_available = 0;
@@ -178,7 +342,8 @@ ThreadScalingReport RunThreadScaling(size_t n) {
   return rep;
 }
 
-void WriteJson(const ThreadScalingReport& rep, const std::string& path) {
+void WriteJson(const ThreadScalingReport& rep, const StageTimes& st,
+               const std::string& path) {
   std::ofstream out(path);
   out << "{\n"
       << "  \"bench\": \"bench_timing_kcca\",\n"
@@ -193,7 +358,16 @@ void WriteJson(const ThreadScalingReport& rep, const std::string& path) {
       << "  \"speedup_8v1\": " << rep.speedup_8v1 << ",\n"
       << "  \"simd_speedup_1t\": " << rep.simd_speedup << ",\n"
       << "  \"byte_identical\": " << (rep.byte_identical ? "true" : "false")
-      << "\n}\n";
+      << ",\n"
+      << "  \"stage_n\": " << st.n << ",\n"
+      << "  \"stage_rank_x\": " << st.rank_x << ",\n"
+      << "  \"stage_rank_y\": " << st.rank_y << ",\n"
+      << "  \"stage_icd_x_ms\": " << st.icd_x_ms << ",\n"
+      << "  \"stage_icd_y_ms\": " << st.icd_y_ms << ",\n"
+      << "  \"stage_cca_fit_ms\": " << st.cca_fit_ms << ",\n"
+      << "  \"stage_eigen_ms\": " << st.eigen_ms << ",\n"
+      << "  \"stage_exact_n\": " << st.exact_n << ",\n"
+      << "  \"stage_exact_eigen_ms\": " << st.exact_eigen_ms << "\n}\n";
 }
 
 }  // namespace
@@ -233,7 +407,15 @@ int main(int argc, char** argv) {
               "simd_speedup_1t=%.2f byte_identical=%d\n",
               rep.n, rep.speedup_8v1, rep.simd_speedup,
               rep.byte_identical ? 1 : 0);
-  if (!json_out.empty()) WriteJson(rep, json_out);
+  const StageTimes st = RunStageTimes(SyntheticExamples(rep.n),
+                                      SyntheticExamples(230));
+  std::printf(
+      "train stages N=%zu (rank x %zu, y %zu): ICD x %.1f ms, ICD y %.1f ms, "
+      "CCA fit %.1f ms (eigensolve %.1f ms); exact eigensolve N=%zu: "
+      "%.1f ms\n",
+      st.n, st.rank_x, st.rank_y, st.icd_x_ms, st.icd_y_ms, st.cca_fit_ms,
+      st.eigen_ms, st.exact_n, st.exact_eigen_ms);
+  if (!json_out.empty()) WriteJson(rep, st, json_out);
   if (!rep.byte_identical) {
     std::fprintf(stderr, "FAIL: models differ across thread counts\n");
     return 1;

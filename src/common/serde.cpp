@@ -1,5 +1,6 @@
 #include "common/serde.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.h"
@@ -61,27 +62,64 @@ double BinaryReader::ReadDouble() {
   return v;
 }
 
-std::string BinaryReader::ReadString() {
+uint64_t BinaryReader::BytesLeft() {
+  const std::streampos here = is_.tellg();
+  if (here == std::streampos(-1)) return UINT64_MAX;
+  is_.seekg(0, std::ios::end);
+  const std::streampos end = is_.tellg();
+  is_.seekg(here);
+  if (end == std::streampos(-1) || !is_.good()) {
+    is_.clear();
+    is_.seekg(here);
+    return UINT64_MAX;
+  }
+  return end > here ? static_cast<uint64_t>(end - here) : 0;
+}
+
+uint64_t BinaryReader::ReadLength(size_t elem_bytes) {
   const uint64_t n = ReadU64();
-  QPP_CHECK_MSG(n < (1ull << 32), "implausible string length");
-  std::string s(n, '\0');
-  if (n > 0) ReadRaw(s.data(), n);
+  QPP_CHECK_MSG(n < (1ull << 32), "implausible length " << n);
+  const uint64_t left = BytesLeft();
+  QPP_CHECK_MSG(left == UINT64_MAX || n <= left / elem_bytes,
+                "length " << n << " exceeds the " << left
+                          << " bytes left in the model file");
+  return n;
+}
+
+namespace {
+
+/// Elements read per step from a stream that cannot report its size, so a
+/// bogus length fails on truncation after at most one chunk's allocation.
+constexpr uint64_t kChunkBytes = uint64_t{1} << 20;
+
+}  // namespace
+
+std::string BinaryReader::ReadString() {
+  const uint64_t n = ReadLength(1);
+  std::string s;
+  while (s.size() < n) {
+    const size_t old = s.size();
+    s.resize(old + std::min(n - old, kChunkBytes));
+    ReadRaw(s.data() + old, s.size() - old);
+  }
   return s;
 }
 
 std::vector<double> BinaryReader::ReadDoubles() {
-  const uint64_t n = ReadU64();
-  QPP_CHECK_MSG(n < (1ull << 32), "implausible vector length");
-  std::vector<double> v(n);
-  if (n > 0) ReadRaw(v.data(), n * sizeof(double));
+  const uint64_t n = ReadLength(sizeof(double));
+  std::vector<double> v;
+  while (v.size() < n) {
+    const size_t old = v.size();
+    v.resize(old + std::min(n - old, kChunkBytes / sizeof(double)));
+    ReadRaw(v.data() + old, (v.size() - old) * sizeof(double));
+  }
   return v;
 }
 
 std::vector<size_t> BinaryReader::ReadSizes() {
-  const uint64_t n = ReadU64();
-  QPP_CHECK_MSG(n < (1ull << 32), "implausible vector length");
-  std::vector<size_t> v(n);
-  for (uint64_t i = 0; i < n; ++i) v[i] = static_cast<size_t>(ReadU64());
+  const uint64_t n = ReadLength(sizeof(uint64_t));
+  std::vector<size_t> v;
+  for (uint64_t i = 0; i < n; ++i) v.push_back(static_cast<size_t>(ReadU64()));
   return v;
 }
 

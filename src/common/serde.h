@@ -34,7 +34,10 @@ class BinaryWriter {
 };
 
 /// Mirror image of BinaryWriter. Throws qpp::CheckFailure on truncated or
-/// corrupt input (model files are trusted local artifacts; we fail loudly).
+/// corrupt input. A length prefix is refused before anything is allocated
+/// when the stream cannot hold that many elements, so a corrupt or hostile
+/// file cannot make the reader allocate more than the file's own size (a
+/// stream that cannot seek is read in bounded chunks instead).
 class BinaryReader {
  public:
   explicit BinaryReader(std::istream& is) : is_(is) {}
@@ -49,6 +52,12 @@ class BinaryReader {
 
  private:
   void ReadRaw(void* p, size_t n);
+  /// Reads a length prefix for elements of `elem_bytes` bytes and checks it
+  /// against the bytes left in the stream (when the stream can tell).
+  uint64_t ReadLength(size_t elem_bytes);
+  /// Bytes between the read position and the end of the stream, or
+  /// UINT64_MAX when the stream cannot seek.
+  uint64_t BytesLeft();
   std::istream& is_;
 };
 

@@ -1,6 +1,7 @@
 #include "core/model_io.h"
 
 #include <fstream>
+#include <new>
 
 namespace qpp::core {
 
@@ -24,6 +25,10 @@ Result<Predictor> LoadModelFile(const std::string& path) {
     return Predictor::Load(&is);
   } catch (const CheckFailure& e) {
     return Status::Error(std::string("model read failed: ") + e.what());
+  } catch (const std::bad_alloc&) {
+    // Backstop: BinaryReader bounds every length prefix by the file size,
+    // so a model file should never get here.
+    return Status::Error("model read failed: out of memory: " + path);
   }
 }
 

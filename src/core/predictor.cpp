@@ -155,12 +155,7 @@ Prediction Predictor::Predict(const linalg::Vector& query_features) const {
     return out;
   }
 
-  const linalg::Vector q = kcca_.ProjectX(xp);
-  const std::vector<ml::Neighbor> nbrs =
-      proj_index_.empty()
-          ? ml::FindNearest(kcca_.x_projection(), q, config_.k_neighbors,
-                            config_.distance)
-          : proj_index_.FindNearest(q, config_.k_neighbors);
+  const std::vector<ml::Neighbor> nbrs = ProjectionNeighbors(xp);
   // Feature-space distance to the query's own feature-space neighbors (see
   // header: catches far-away inputs the saturating kernel would hide). These
   // are searched independently of the projection neighbors — the projection
@@ -172,6 +167,49 @@ Prediction Predictor::Predict(const linalg::Vector& query_features) const {
                             config_.distance)
           : feat_index_.FindNearest(xp, config_.k_neighbors);
   return AssembleKccaPrediction(nbrs, feat_nbrs);
+}
+
+workload::QueryType Predictor::PredictType(
+    const linalg::Vector& query_features) const {
+  QPP_CHECK_MSG(trained_, "Predict before Train");
+  const linalg::Vector xp = preprocessor_.TransformRow(query_features);
+  if (config_.model == ModelKind::kRegression) {
+    return workload::ClassifyElapsed(
+        engine::QueryMetrics::FromVector(regression_.Predict(xp))
+            .elapsed_seconds);
+  }
+  return VoteType(ProjectionNeighbors(xp));
+}
+
+std::vector<ml::Neighbor> Predictor::ProjectionNeighbors(
+    const linalg::Vector& xp) const {
+  const linalg::Vector q = kcca_.ProjectX(xp);
+  return proj_index_.empty()
+             ? ml::FindNearest(kcca_.x_projection(), q, config_.k_neighbors,
+                               config_.distance)
+             : proj_index_.FindNearest(q, config_.k_neighbors);
+}
+
+workload::QueryType Predictor::VoteType(
+    const std::vector<ml::Neighbor>& projection_neighbors) const {
+  // Majority vote over the neighbors' measured categories. Fixed tally
+  // array (ties to the lowest enum value, same as the ordered-map walk
+  // this replaces) — the map's node allocations showed up in the Predict
+  // profile.
+  size_t votes[4] = {0, 0, 0, 0};
+  for (const ml::Neighbor& nb : projection_neighbors) {
+    const double elapsed = train_y_(nb.index, 0);
+    votes[static_cast<size_t>(workload::ClassifyElapsed(elapsed))] += 1;
+  }
+  workload::QueryType type = workload::QueryType::kFeather;
+  size_t best = 0;
+  for (size_t t = 0; t < 4; ++t) {
+    if (votes[t] > best) {
+      best = votes[t];
+      type = static_cast<workload::QueryType>(t);
+    }
+  }
+  return type;
 }
 
 std::vector<Prediction> Predictor::PredictBatch(
@@ -272,9 +310,8 @@ void Predictor::AssembleKccaPredictionInto(
   Prediction& out = *outp;
   // `out` may be a reused object from a previous batch: every field is
   // reassigned below; the neighbor list is cleared (keeping capacity) and
-  // the vote default restored before the tally.
+  // the category vote is recomputed.
   out.neighbor_indices.clear();
-  out.predicted_type = workload::QueryType::kFeather;
   double metrics[engine::QueryMetrics::kNumMetrics];
   ml::WeightedAverageTo(projection_neighbors, train_y_, config_.weighting,
                         metrics);
@@ -306,22 +343,7 @@ void Predictor::AssembleKccaPredictionInto(
       out.mean_neighbor_distance > config_.anomaly_factor * train_dist_p99_ ||
       feat_dist > config_.anomaly_factor * train_feat_dist_p99_;
 
-  // Majority vote over the neighbors' measured categories. Fixed tally
-  // array (ties to the lowest enum value, same as the ordered-map walk
-  // this replaces) — the map's node allocations showed up in the Predict
-  // profile.
-  size_t votes[4] = {0, 0, 0, 0};
-  for (const ml::Neighbor& nb : projection_neighbors) {
-    const double elapsed = train_y_(nb.index, 0);
-    votes[static_cast<size_t>(workload::ClassifyElapsed(elapsed))] += 1;
-  }
-  size_t best = 0;
-  for (size_t t = 0; t < 4; ++t) {
-    if (votes[t] > best) {
-      best = votes[t];
-      out.predicted_type = static_cast<workload::QueryType>(t);
-    }
-  }
+  out.predicted_type = VoteType(projection_neighbors);
 }
 
 const ml::KccaModel& Predictor::kcca() const {

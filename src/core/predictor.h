@@ -96,6 +96,13 @@ class Predictor {
   /// Predicts all six metrics for a query feature vector.
   Prediction Predict(const linalg::Vector& query_features) const;
 
+  /// Predict(query_features).predicted_type without the rest of the
+  /// prediction: preprocess, project, projection-space neighbor search and
+  /// the neighbor vote only (no feature-space search, metric averaging or
+  /// confidence). The regression model classifies its predicted elapsed
+  /// time. This is what the routers' classify step needs.
+  workload::QueryType PredictType(const linalg::Vector& query_features) const;
+
   /// Micro-batch prediction: result i is bit-identical to
   /// Predict(queries[i]). One call runs the query-blocked KCCA pipeline
   /// (ml::KccaModel::ProjectXBatchInto: batched kernel tiles, one blocked
@@ -192,6 +199,16 @@ class Predictor {
   Prediction AssembleKccaPrediction(
       const std::vector<ml::Neighbor>& projection_neighbors,
       const std::vector<ml::Neighbor>& feature_neighbors) const;
+
+  /// k nearest training projections of preprocessed query `xp` (tree when
+  /// built, else the brute scan). Shared by Predict and PredictType.
+  std::vector<ml::Neighbor> ProjectionNeighbors(const linalg::Vector& xp) const;
+
+  /// Majority feather/golf/bowling vote of the neighbors' measured elapsed
+  /// times, ties to the lowest category. Shared by every predict path so
+  /// PredictType cannot drift from Prediction::predicted_type.
+  workload::QueryType VoteType(
+      const std::vector<ml::Neighbor>& projection_neighbors) const;
 
   /// AssembleKccaPrediction into a (possibly reused) Prediction object.
   /// Every field is reassigned — stale state from a previous batch cannot

@@ -13,12 +13,18 @@ inline void WriteMatrix(BinaryWriter* w, const Matrix& m) {
   w->WriteDoubles(m.data());
 }
 
+/// The payload is read (and bounded by the stream) before the shape is
+/// trusted: the shape must account for exactly the doubles read.
 inline Matrix ReadMatrix(BinaryReader* r) {
-  const size_t rows = static_cast<size_t>(r->ReadU64());
-  const size_t cols = static_cast<size_t>(r->ReadU64());
-  Matrix m(rows, cols);
-  m.data() = r->ReadDoubles();
-  QPP_CHECK_MSG(m.data().size() == rows * cols, "corrupt matrix payload");
+  const uint64_t rows = r->ReadU64();
+  const uint64_t cols = r->ReadU64();
+  std::vector<double> data = r->ReadDoubles();
+  QPP_CHECK_MSG(
+      cols == 0 ? data.empty()
+                : data.size() % cols == 0 && data.size() / cols == rows,
+      "corrupt matrix payload");
+  Matrix m(static_cast<size_t>(rows), static_cast<size_t>(cols));
+  m.data() = std::move(data);
   return m;
 }
 

@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
+#include "linalg/serde.h"
 
 namespace qpp::ml {
 
@@ -71,6 +72,7 @@ CcaModel FitCca(const linalg::Matrix& x, const linalg::Matrix& y,
   const linalg::Matrix s = m.MultiplyTranspose(m);
 
   const linalg::TopEigen top = linalg::TopKEigenSymmetric(s, d);
+  QPP_CHECK_MSG(top.converged, "CCA eigensolve did not converge");
 
   model.wx = linalg::Matrix(p, d);
   model.wy = linalg::Matrix(q, d);
@@ -133,28 +135,11 @@ linalg::Matrix CcaModel::ProjectYAll(const linalg::Matrix& y) const {
   return out;
 }
 
-namespace {
-void SaveMatrix(BinaryWriter* w, const linalg::Matrix& m) {
-  w->WriteU64(m.rows());
-  w->WriteU64(m.cols());
-  w->WriteDoubles(m.data());
-}
-
-linalg::Matrix LoadMatrix(BinaryReader* r) {
-  const size_t rows = static_cast<size_t>(r->ReadU64());
-  const size_t cols = static_cast<size_t>(r->ReadU64());
-  linalg::Matrix m(rows, cols);
-  m.data() = r->ReadDoubles();
-  QPP_CHECK(m.data().size() == rows * cols);
-  return m;
-}
-}  // namespace
-
 void CcaModel::Save(BinaryWriter* w) const {
   w->WriteDoubles(mean_x);
   w->WriteDoubles(mean_y);
-  SaveMatrix(w, wx);
-  SaveMatrix(w, wy);
+  linalg::WriteMatrix(w, wx);
+  linalg::WriteMatrix(w, wy);
   w->WriteDoubles(correlations);
 }
 
@@ -162,8 +147,8 @@ CcaModel CcaModel::Load(BinaryReader* r) {
   CcaModel m;
   m.mean_x = r->ReadDoubles();
   m.mean_y = r->ReadDoubles();
-  m.wx = LoadMatrix(r);
-  m.wy = LoadMatrix(r);
+  m.wx = linalg::ReadMatrix(r);
+  m.wy = linalg::ReadMatrix(r);
   m.correlations = r->ReadDoubles();
   return m;
 }

@@ -147,6 +147,7 @@ KccaModel KccaModel::Train(const linalg::Matrix& x, const linalg::Matrix& y,
 
     const size_t d = std::min(d_wanted, n);
     const linalg::TopEigen top = linalg::TopKEigenSymmetric(s, d);
+    QPP_CHECK_MSG(top.converged, "KCCA eigensolve did not converge");
 
     model.a_ = linalg::Matrix(n, d);
     linalg::Matrix b(n, d);

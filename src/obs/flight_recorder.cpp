@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <thread>
 
 #include "obs/json_util.h"
 #include "obs/request_context.h"
@@ -76,9 +77,25 @@ void FlightRecorder::Record(FlightEventKind kind, uint64_t trace_id,
   const uint64_t ticket =
       next_ticket_.fetch_add(1, std::memory_order_relaxed) + 1;
   Slot& slot = slots_[(ticket - 1) & mask_];
-  // Invalidate, write payload, publish — the release on the final seq
-  // store makes all payload stores visible to a reader that observes it.
-  slot.seq.store(0, std::memory_order_release);
+  // Claim the slot (seq -> kWriting), write payload, publish — the release
+  // on the final seq store makes all payload stores visible to a reader
+  // that observes it. Writers a whole ring apart share a slot: the claim
+  // serializes them, and an event whose slot already holds a newer ticket
+  // has left the window and is dropped, so a descheduled older writer can
+  // never overwrite a newer event.
+  uint64_t seen = slot.seq.load(std::memory_order_acquire);
+  for (;;) {
+    if (seen == kWriting) {
+      std::this_thread::yield();
+      seen = slot.seq.load(std::memory_order_acquire);
+      continue;
+    }
+    if (seen >= ticket) return;
+    if (slot.seq.compare_exchange_weak(seen, kWriting,
+                                       std::memory_order_acquire)) {
+      break;
+    }
+  }
   slot.trace_id.store(trace_id, std::memory_order_relaxed);
   slot.kind.store(static_cast<uint32_t>(kind), std::memory_order_relaxed);
   slot.code.store(static_cast<uint32_t>(code), std::memory_order_relaxed);

@@ -10,13 +10,14 @@
 // picks, escalations, hot swaps, fault injections, breaker transitions —
 // and is cheap enough to leave running in production and in every soak.
 //
-// Concurrency: a multi-writer seqlock ring. Writers claim a slot with one
-// fetch_add on the ticket counter, invalidate the slot, write the payload
-// as individual relaxed atomics, then publish by storing the ticket into
-// the slot's seq with release ordering. Readers accept a slot only when
-// its seq reads the same expected ticket before AND after copying the
-// payload, so an in-progress or lapped write is skipped, never blocked on,
-// and never a data race (every field is atomic). In deterministic
+// Concurrency: a multi-writer seqlock ring. Writers take a ticket with one
+// fetch_add on the ticket counter, claim the slot with a CAS on its seq
+// (dropping the event if the slot already holds a newer ticket), write the
+// payload as individual relaxed atomics, then publish by storing the
+// ticket into the slot's seq with release ordering. Readers accept a slot
+// only when its seq reads the same expected ticket before AND after
+// copying the payload, so an in-progress or lapped write is skipped, never
+// blocked on, and never a data race (every field is atomic). In deterministic
 // sequential harnesses there is no tearing at all and Snapshot()/
 // DumpJson() are byte-replayable functions of the event history.
 //
@@ -114,10 +115,12 @@ class FlightRecorder {
   std::string DumpJson(std::string_view reason) const;
 
  private:
+  static constexpr uint64_t kWriting = ~uint64_t{0};
   // 24 bytes of detail packed into three word-sized atomics so the whole
   // payload is individually-atomic (seqlock readers may race writers).
   struct Slot {
-    std::atomic<uint64_t> seq{0};  ///< 0 = empty, else the owning ticket
+    /// 0 = empty, kWriting = claimed by a writer, else the owning ticket.
+    std::atomic<uint64_t> seq{0};
     std::atomic<uint64_t> trace_id{0};
     std::atomic<uint32_t> kind{0};
     std::atomic<uint32_t> code{0};

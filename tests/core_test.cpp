@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -156,6 +157,39 @@ TEST(ModelIoTest, CorruptFileReportsError) {
     os << "not a model";
   }
   EXPECT_FALSE(LoadModelFile(path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(ModelIoTest, HugeLengthPrefixIsRefusedBeforeAllocating) {
+  // A valid header up to the preprocessor's first vector, whose length
+  // prefix then claims 2^31 doubles (16 GiB) in a file of a few bytes. The
+  // reader must refuse the length against the bytes left, before any
+  // allocation (an ASan build would abort on the attempt).
+  const auto path =
+      (std::filesystem::temp_directory_path() / "qpp_huge_length.bin")
+          .string();
+  {
+    Predictor pred;
+    pred.Train(SyntheticExamples(100, 8));
+    std::ostringstream full;
+    pred.Save(&full);
+    // Header: magic, version, model kind, k, distance, weighting, log1p,
+    // standardize (u32 except k), anomaly factor, then the preprocessor's
+    // three u32 flags — 4*3 + 8 + 4*4 + 8 + 4*3 bytes.
+    const size_t header = 4 * 3 + 8 + 4 * 4 + 8 + 4 * 3;
+    uint64_t real_length = 0;
+    std::memcpy(&real_length, full.str().data() + header, sizeof real_length);
+    ASSERT_EQ(real_length, SyntheticExamples(1, 8)[0].query_features.size());
+    std::ofstream os(path, std::ios::binary);
+    os.write(full.str().data(), static_cast<std::streamsize>(header));
+    const uint64_t huge = uint64_t{1} << 31;
+    os.write(reinterpret_cast<const char*>(&huge), sizeof huge);
+    os.write(full.str().data() + header + 8, 64);
+  }
+  const auto loaded = LoadModelFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("exceeds"), std::string::npos)
+      << loaded.status().message();
   std::remove(path.c_str());
 }
 

@@ -19,8 +19,10 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
+#include "core/predictor.h"
 #include "golden_metrics.h"
 
 namespace qpp::bench {
@@ -109,6 +111,47 @@ TEST(GoldenResultsTest, LifecycleChaosCounters) {
   const LifecycleGolden run = ComputeLifecycleChaos();
   EXPECT_TRUE(run.ok) << run.report;
   CompareToGolden(run.values, "lifecycle.json");
+}
+
+// The routers' classify step (core::Predictor::PredictType) must give the
+// category Predict would, for every model kind, over the Experiment-1 plans:
+// it is the same projection, neighbor search and vote without the rest of
+// the prediction.
+TEST(PredictTypeTest, MatchesPredictOverExperiment1Plans) {
+  std::vector<const ml::TrainingExample*> plans;
+  for (const auto& ex : Exp().train) plans.push_back(&ex);
+  for (const auto& ex : Exp().test) plans.push_back(&ex);
+
+  core::Predictor icd;  // N = 1027 > exact_threshold: the ICD solver
+  icd.Train(Exp().train);
+  ASSERT_EQ(icd.kcca().solver_used(), ml::KccaSolver::kIcd);
+
+  core::PredictorConfig exact_cfg;
+  exact_cfg.kcca.solver = ml::KccaSolver::kExact;
+  core::Predictor exact(exact_cfg);
+  // Every 4th example keeps the exact N x N problem small.
+  std::vector<ml::TrainingExample> subset;
+  for (size_t i = 0; i < Exp().train.size(); i += 4) {
+    subset.push_back(Exp().train[i]);
+  }
+  exact.Train(subset);
+  ASSERT_EQ(exact.kcca().solver_used(), ml::KccaSolver::kExact);
+
+  core::PredictorConfig reg_cfg;
+  reg_cfg.model = core::ModelKind::kRegression;
+  core::Predictor regression(reg_cfg);
+  regression.Train(Exp().train);
+
+  for (const core::Predictor* model : {&icd, &exact, &regression}) {
+    std::set<workload::QueryType> seen;
+    for (const ml::TrainingExample* ex : plans) {
+      const workload::QueryType want =
+          model->Predict(ex->query_features).predicted_type;
+      ASSERT_EQ(model->PredictType(ex->query_features), want);
+      seen.insert(want);
+    }
+    EXPECT_GE(seen.size(), 2u) << "a one-category model proves little";
+  }
 }
 
 // The ISSUE's floor: the suite must pin at least 10 headline values. It
