@@ -23,7 +23,6 @@
 #include "ml/feature_vector.h"
 #include "obs/metrics.h"
 #include "serve/prediction_service.h"
-#include "shard/shard_router.h"
 
 using namespace qpp;
 
@@ -370,14 +369,15 @@ int main(int argc, char** argv) {
               "unbatched baseline (target >=3x: %s)\n",
               speedup_8_16, speedup_8_16 >= 3.0 ? "PASS" : "FAIL");
 
-  // --- sharded mode: per-pool expert routing vs the monolithic service.
-  // Both sides run cache-disabled (model-bound) with the same worker and
-  // batch settings per service; the sharded side's win comes from five
-  // services predicting in parallel against smaller per-pool models. Every
-  // response is checked bit-identical against the offline TwoStepPredictor
-  // (sharded) / its base model (monolithic) at every thread count.
-  std::printf("\nsharded mode: per-pool experts (shard::ShardRouter) vs "
-              "monolithic one-model service\n");
+  // --- sharded mode: per-pool expert routing (a one-replica-per-pool
+  // fabric) vs the monolithic service. Both sides run cache-disabled
+  // (model-bound) with the same worker and batch settings per service; the
+  // sharded side's win comes from five services predicting in parallel
+  // against smaller per-pool models. Every response is checked
+  // bit-identical against the offline TwoStepPredictor (sharded) / its
+  // base model (monolithic) at every thread count.
+  std::printf("\nsharded mode: per-pool experts (fabric::Fabric, one "
+              "replica per pool) vs monolithic one-model service\n");
   core::TwoStepPredictor two_step;
   two_step.Train(exp.train);
 
@@ -392,17 +392,16 @@ int main(int argc, char** argv) {
   service_config.cache_capacity = 0;
   service_config.fallback_on_anomalous = false;
   // The clients submit the whole run before draining any future; a full
-  // expert queue is an escalation for the router (not backpressure as in
+  // expert queue is an escalation for the fabric (not backpressure as in
   // the monolithic service), so size the queues for the burst.
   service_config.queue_capacity = wl.total_requests + wl.distinct.size();
 
   serve::ModelRegistry mono_registry;
   mono_registry.Publish(two_step.base());
 
-  shard::ShardRouterConfig router_config =
-      shard::MakePerPoolConfig(service_config);
-  shard::ShardRouter router(std::move(router_config), calibration);
-  shard::PublishTwoStep(two_step, &router);
+  fabric::Fabric per_pool(fabric::MakePerPoolFabricConfig(1, service_config),
+                          calibration);
+  fabric::PublishTwoStep(two_step, &per_pool);
 
   std::printf("%12s %8s %14s %9s %9s %9s  %s\n", "mode", "clients",
               "queries/sec", "p50 ms", "p95 ms", "p99 ms", "bit-identical");
@@ -416,7 +415,7 @@ int main(int argc, char** argv) {
                  [&](const serve::ServeRequest& r) { return mono.Submit(r); });
     const TimedRun sharded_run = RunTimed(
         wl, clients, expected_sharded,
-        [&](const serve::ServeRequest& r) { return router.Submit(r); });
+        [&](const serve::ServeRequest& r) { return per_pool.Submit(r); });
     for (const auto& [label, run] :
          {std::pair{"monolithic", &mono_run}, {"sharded", &sharded_run}}) {
       std::printf("%12s %8zu %14.0f %9.2f %9.2f %9.2f  %s\n", label, clients,
@@ -429,7 +428,7 @@ int main(int argc, char** argv) {
       sharded_8 = sharded_run;
     }
   }
-  router.Shutdown();
+  per_pool.Shutdown();
 
   const double routed_ratio = sharded_8.qps / mono_8.qps;
   std::printf("\nsharded/monolithic throughput at 8 clients: %.2fx "

@@ -15,17 +15,6 @@ namespace qpp::fabric {
 
 namespace {
 
-obs::TraceEvent InstantEvent(obs::TraceRecorder* trace, const char* name) {
-  obs::TraceEvent e;
-  e.phase = 'i';
-  e.name = name;
-  e.category = "fabric";
-  e.pid = obs::TraceRecorder::kServicePid;
-  e.tid = trace->CurrentThreadTid();
-  e.ts_us = trace->NowMicros();
-  return e;
-}
-
 size_t PoolIndex(workload::QueryType pool) {
   return static_cast<size_t>(pool);
 }
@@ -109,16 +98,15 @@ std::string FabricStatsSnapshot::ToString() const {
 
 Fabric::Fabric(FabricConfig config, serve::CostCalibration calibration)
     : admission_config_(config.admission),
-      open_probe_every_(std::max<size_t>(1, config.open_probe_every)),
       p2c_seed_(config.p2c_seed),
       p2c_ignore_depth_(config.p2c_ignore_depth),
       calibration_(calibration),
       trace_(config.trace),
       faults_(config.faults),
-      flight_(obs::FlightRecorderOptions{config.flight_capacity}),
+      flight_(obs::FlightRecorderOptions{kFlightCapacity}),
       trace_ids_(config.trace_seed),
       admission_(config.admission, &metrics_, &flight_, config.trace),
-      route_cache_(config.route_cache_capacity) {
+      route_cache_(kRouteCacheCapacity) {
   QPP_CHECK_MSG(!config.groups.empty(), "fabric needs at least one group");
   classified_ = metrics_.GetCounter("qpp_fabric_classified_total");
   route_cache_hits_ =
@@ -261,8 +249,7 @@ void Fabric::Shutdown() {
       obs::ScopedRequestContext scope(d.request.ctx);
       flight_.Record(obs::FlightEventKind::kDeferDrained,
                      d.request.ctx.trace_id);
-      const RouteVerdict verdict = Classify(d.request);
-      Dispatch(d.request, &d.promise, verdict.pool);
+      Dispatch(d.request, &d.promise, Classify(d.request));
     }
     for (auto& group : groups_) {
       for (auto& replica : group->replicas) replica->service->Shutdown();
@@ -381,9 +368,14 @@ Fabric::RouteVerdict Fabric::Classify(const serve::ServeRequest& request) {
       if (snap.valid()) break;
     }
   }
-  if (!snap.valid()) return verdict;  // no classifier anywhere: feather/0
-  bool cached = false;
-  if (route_cache_.capacity() > 0) {
+  if (!snap.valid()) {
+    // No classifier anywhere: the catch-all owns the request (and answers
+    // with its own labeled no-model fallback).
+    verdict.classified = false;
+    return verdict;
+  }
+  bool cached;
+  {
     std::lock_guard<std::mutex> lock(route_cache_mu_);
     cached = route_cache_.Get(request.features, &verdict) &&
              verdict.classifier_generation == snap.generation;
@@ -398,7 +390,7 @@ Fabric::RouteVerdict Fabric::Classify(const serve::ServeRequest& request) {
   }
   verdict.classifier_generation = snap.generation;
   classified_->Inc();
-  if (route_cache_.capacity() > 0) {
+  {
     std::lock_guard<std::mutex> lock(route_cache_mu_);
     route_cache_.Put(request.features, verdict);
   }
@@ -417,8 +409,8 @@ Fabric::Group* Fabric::GroupFor(workload::QueryType pool) {
 Fabric::Replica* Fabric::PickReplica(Group* group, bool require_model,
                                      const char** reason) {
   // Eligible = up, serving a model (experts only), breaker not open — but
-  // every open_probe_every-th pick of an open-breaker replica goes
-  // through anyway as a recovery probe, exactly like the shard router.
+  // every kOpenProbeEvery-th pick of an open-breaker replica goes through
+  // anyway as a recovery probe.
   std::vector<Replica*> ups;
   ups.reserve(group->replicas.size());
   size_t open_excluded = 0;
@@ -432,8 +424,8 @@ Fabric::Replica* Fabric::PickReplica(Group* group, bool require_model,
         replica->service->breaker().state() ==
             serve::CircuitBreaker::State::kOpen &&
         replica->open_diversions.fetch_add(1, std::memory_order_relaxed) %
-                open_probe_every_ !=
-            open_probe_every_ - 1) {
+                kOpenProbeEvery !=
+            kOpenProbeEvery - 1) {
       ++open_excluded;
       continue;
     }
@@ -464,7 +456,13 @@ Fabric::Replica* Fabric::PickReplica(Group* group, bool require_model,
 void Fabric::TraceInstant(const char* name, const std::string& detail_key,
                           const std::string& detail) {
   if (trace_ == nullptr) return;
-  obs::TraceEvent e = InstantEvent(trace_, name);
+  obs::TraceEvent e;
+  e.phase = 'i';
+  e.name = name;
+  e.category = "fabric";
+  e.pid = obs::TraceRecorder::kServicePid;
+  e.tid = trace_->CurrentThreadTid();
+  e.ts_us = trace_->NowMicros();
   e.args.emplace_back(detail_key, std::string("\"") + detail + "\"");
   const obs::RequestContext& ctx = obs::CurrentRequestContext();
   if (ctx.valid()) {
@@ -481,44 +479,27 @@ void Fabric::RespondShed(const serve::ServeRequest& request,
   TraceInstant("admission-shed", "pool", workload::QueryTypeName(pool));
   flight_.Record(obs::FlightEventKind::kFallback, request.ctx.trace_id,
                  static_cast<int32_t>(pool), 0.0, "admission-shed");
-  serve::ServeResponse response;
-  response.prediction = serve::FallbackPrediction(
-      calibration_, request.optimizer_cost, /*anomalous=*/false);
-  response.source = serve::ResponseSource::kOptimizerFallback;
-  response.degraded_reason = "admission-shed";
-  response.trace_id = request.ctx.trace_id;
-  promise->set_value(std::move(response));
+  promise->set_value(
+      serve::FallbackResponse(calibration_, request, "admission-shed"));
 }
 
 void Fabric::RespondExhausted(const serve::ServeRequest& request,
                               std::promise<serve::ServeResponse>* promise) {
   fallback_exhausted_->Inc();
-  if (trace_ != nullptr) {
-    obs::TraceEvent e = InstantEvent(trace_, "exhausted");
-    if (request.ctx.valid()) {
-      e.args.emplace_back(
-          "trace_id", "\"" + obs::TraceIdHex(request.ctx.trace_id) + "\"");
-    }
-    trace_->Add(std::move(e));
-  }
+  TraceInstant("exhausted", "group", catch_all_->spec.name);
   flight_.Record(obs::FlightEventKind::kFallback, request.ctx.trace_id,
                  /*code=*/0, 0.0, "fabric-exhausted");
-  serve::ServeResponse response;
-  response.prediction = serve::FallbackPrediction(
-      calibration_, request.optimizer_cost, /*anomalous=*/false);
-  response.source = serve::ResponseSource::kOptimizerFallback;
-  response.degraded_reason = "fabric-exhausted";
-  response.trace_id = request.ctx.trace_id;
-  promise->set_value(std::move(response));
+  promise->set_value(
+      serve::FallbackResponse(calibration_, request, "fabric-exhausted"));
 }
 
 void Fabric::Dispatch(const serve::ServeRequest& request,
                       std::promise<serve::ServeResponse>* promise,
-                      workload::QueryType pool) {
+                      const RouteVerdict& verdict) {
   // Deferred-drain and shutdown dispatches arrive outside Submit's scope;
   // reinstall the request's identity for picks, escalations, and faults.
   obs::ScopedRequestContext scope(request.ctx);
-  Group* expert = GroupFor(pool);
+  Group* expert = verdict.classified ? GroupFor(verdict.pool) : nullptr;
   if (expert != nullptr) {
     const char* escalation = nullptr;
     Replica* replica = PickReplica(expert, /*require_model=*/true,
@@ -599,8 +580,7 @@ void Fabric::DrainDeferred() {
     obs::ScopedRequestContext scope(d.request.ctx);
     flight_.Record(obs::FlightEventKind::kDeferDrained,
                    d.request.ctx.trace_id);
-    const RouteVerdict verdict = Classify(d.request);
-    Dispatch(d.request, &d.promise, verdict.pool);
+    Dispatch(d.request, &d.promise, Classify(d.request));
   }
 }
 
@@ -674,7 +654,7 @@ std::future<serve::ServeResponse> Fabric::Submit(serve::ServeRequest request) {
   } else {
     admitted_->Inc();
   }
-  Dispatch(request, &promise, verdict.pool);
+  Dispatch(request, &promise, verdict);
   return future;
 }
 

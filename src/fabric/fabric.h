@@ -1,6 +1,9 @@
-// Replicated per-pool serving: qpp::shard's expert shards grown into
-// replica groups, with prediction-aware admission control at the front
-// door.
+// Per-pool expert serving: the paper's two-step design (classify a query
+// as feather / golf ball / bowling ball, then predict with that pool's
+// expert model — Experiment 3, Fig. 14) lifted from the offline
+// core::TwoStepPredictor into the serving layer. Each pool is a replica
+// group (one replica is the plain per-pool deployment), with
+// prediction-aware admission control at the front door.
 //
 //   client ──Submit()──▶ classify (step-1, cached)
 //                          │ admission: shed / defer heavies on SLO breach
@@ -37,10 +40,16 @@
 // core::TwoStepPredictor::Predict, and every response absorbed by the
 // catch-all is bit-identical to its base model — regardless of replica
 // count, worker threads, client threads, batching, caching, or which
-// replica answered. Admission produces labeled degradations
-// ("admission-shed"), never silently altered predictions; deferred
-// requests are answered by the normal model path once dispatched. See
-// docs/FABRIC.md.
+// replica answered. Routing is a pure function of (request, published
+// models): the step-1 classifier is the catch-all's model and the route
+// cache only memoizes its verdicts. The one deliberate deviation is
+// `Prediction::predicted_type`, which carries the answering expert's own
+// neighbor vote; the step-1 pool is what `ServeResponse::shard` names.
+// With no classifier published anywhere the catch-all owns every request
+// and answers with its labeled "no-model" fallback. Admission produces
+// labeled degradations ("admission-shed"), never silently altered
+// predictions; deferred requests are answered by the normal model path
+// once dispatched. See docs/FABRIC.md.
 #pragma once
 
 #include <atomic>
@@ -96,10 +105,6 @@ struct FabricConfig {
   /// Must contain exactly one catch-all spec (empty `pools`).
   std::vector<ReplicaGroupSpec> groups;
   AdmissionConfig admission;
-  /// Step-1 verdict memo, exactly as in shard::ShardRouterConfig.
-  size_t route_cache_capacity = 4096;
-  /// Recovery-probe cadence while a replica's breaker is open.
-  size_t open_probe_every = 32;
   /// Key for the power-of-two-choices draw stream. Two fabrics with the
   /// same seed, groups, and (sequential) request sequence make identical
   /// picks.
@@ -116,10 +121,6 @@ struct FabricConfig {
   /// life gets DeriveTraceId(trace_seed, n) stamped at Submit (unless the
   /// caller stamped its own). Same seed + same request sequence = same ids.
   uint64_t trace_seed = 0xFAB0B5ull;
-  /// Ring capacity of the built-in flight recorder (see
-  /// obs/flight_recorder.h); always on — the per-event cost is a few
-  /// relaxed atomic stores.
-  size_t flight_capacity = 4096;
   /// Optional sinks, shared by all replicas; must outlive the fabric.
   obs::TraceRecorder* trace = nullptr;
   fault::FaultInjector* faults = nullptr;
@@ -172,6 +173,19 @@ struct FabricStatsSnapshot {
 
 class Fabric {
  public:
+  /// Step-1 verdict memo entries (exact feature match, classifier-
+  /// generation tagged): the classifier runs once per distinct plan per
+  /// generation, not once per request.
+  static constexpr size_t kRouteCacheCapacity = 4096;
+  /// While a replica's breaker is open the fabric diverts its picks, so
+  /// the breaker would never see the probes it needs to recover; every
+  /// Nth diverted pick goes through anyway as a recovery probe.
+  static constexpr size_t kOpenProbeEvery = 32;
+  /// Ring capacity of the built-in flight recorder (see
+  /// obs/flight_recorder.h); always on — the per-event cost is a few
+  /// relaxed atomic stores.
+  static constexpr size_t kFlightCapacity = 4096;
+
   /// The calibration backs the admission-shed response and the final
   /// fallback rung. If `config.faults` carries a replica-targeted plan
   /// naming one of our replicas, a default kill hook (mark it dead and
@@ -257,6 +271,9 @@ class Fabric {
   struct RouteVerdict {
     workload::QueryType pool = workload::QueryType::kFeather;
     uint64_t classifier_generation = 0;
+    /// False when no catch-all replica holds a model: there is no
+    /// step-1 vote, and the catch-all owns the request.
+    bool classified = true;
   };
 
   /// A request parked by a defer decision: the caller already holds the
@@ -277,7 +294,7 @@ class Fabric {
   /// fulfills `promise` (moved from on dispatch or answered inline).
   void Dispatch(const serve::ServeRequest& request,
                 std::promise<serve::ServeResponse>* promise,
-                workload::QueryType pool);
+                const RouteVerdict& verdict);
   void RespondShed(const serve::ServeRequest& request,
                    std::promise<serve::ServeResponse>* promise,
                    workload::QueryType pool);
@@ -288,7 +305,6 @@ class Fabric {
                     const std::string& detail);
 
   const AdmissionConfig admission_config_;
-  const size_t open_probe_every_;
   const uint64_t p2c_seed_;
   const bool p2c_ignore_depth_;
   const serve::CostCalibration calibration_;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -32,7 +33,6 @@
 #include "optimizer/optimizer.h"
 #include "core/two_step.h"
 #include "serve/prediction_service.h"
-#include "shard/shard_router.h"
 #include "workload/generator.h"
 #include "workload/tpcds_templates.h"
 
@@ -58,8 +58,7 @@ class Violations {
 const char* kAllKinds[] = {
     "disk_stall",      "message_loss",  "node_slowdown", "node_failure",
     "buffer_pressure", "submit_reject", "worker_stall",  "registry_swap",
-    "shard_kill",      "shard_stall",   "replica_kill",  "replica_stall",
-    "model_poison",
+    "replica_kill",    "replica_stall", "model_poison",
 };
 
 std::string FaultDigest(const FaultInjector& injector) {
@@ -152,48 +151,21 @@ std::vector<linalg::Vector> MakeProbes(size_t n, uint64_t seed) {
   return out;
 }
 
-/// Three Fig. 2 pools (feather / golf ball / bowling ball) with
-/// well-separated features AND elapsed times, so the step-1 classifier's
-/// neighbor vote lands in the right pool and every pool trains an expert.
-/// Pool-major order: [0, per_pool) feathers, then golf, then bowling.
-std::vector<ml::TrainingExample> MultiPoolExamples(size_t per_pool,
-                                                   uint64_t seed) {
-  static const double kElapsedBase[3] = {10.0, 400.0, 2500.0};
-  Rng rng(seed);
-  std::vector<ml::TrainingExample> out;
-  out.reserve(3 * per_pool);
-  for (size_t pool = 0; pool < 3; ++pool) {
-    const double off = static_cast<double>(pool);
-    for (size_t i = 0; i < per_pool; ++i) {
-      ml::TrainingExample ex;
-      const double a = rng.Uniform(1.0, 10.0);
-      const double b = rng.Uniform(1.0, 10.0);
-      const double c = rng.Uniform(0.0, 5.0);
-      ex.query_features = {a + 40.0 * off, b + 10.0 * off, c,
-                           a * b + 25.0 * off, rng.Uniform(0.0, 1.0)};
-      // 0.5ab + c <= 55, so every example stays inside its pool's band.
-      ex.metrics.elapsed_seconds = kElapsedBase[pool] + 0.5 * a * b + c;
-      ex.metrics.records_accessed = 1000.0 * a + 50.0 * c + 10000.0 * off;
-      ex.metrics.records_used = 100.0 * a + 1000.0 * off;
-      ex.metrics.message_count = 10.0 * b + 100.0 * off;
-      ex.metrics.message_bytes = 1000.0 * b + 10.0 * a;
-      out.push_back(std::move(ex));
-    }
-  }
-  return out;
-}
-
-/// All four Fig. 2 pools, same construction as MultiPoolExamples with a
-/// wrecking-ball band on top. The fabric soak needs heavies of both kinds:
-/// admission defers bowling balls and sheds wrecking balls, so the probe
-/// mix must be classified into every pool.
-std::vector<ml::TrainingExample> FourPoolExamples(size_t per_pool,
-                                                  uint64_t seed) {
+/// The first `pools` Fig. 2 pools (feather, golf ball, bowling ball,
+/// wrecking ball) with well-separated features AND elapsed times, so the
+/// step-1 classifier's neighbor vote lands in the right pool and every pool
+/// trains an expert. Pool-major order: [0, per_pool) feathers, then golf,
+/// and so on; the first pools' rows do not depend on `pools`. The fabric
+/// soaks need heavies of both kinds (admission defers bowling balls and
+/// sheds wrecking balls), so they ask for all four.
+std::vector<ml::TrainingExample> PoolExamples(size_t pools, size_t per_pool,
+                                              uint64_t seed) {
   static const double kElapsedBase[4] = {10.0, 400.0, 2500.0, 9000.0};
+  QPP_CHECK(pools <= 4);
   Rng rng(seed);
   std::vector<ml::TrainingExample> out;
-  out.reserve(4 * per_pool);
-  for (size_t pool = 0; pool < 4; ++pool) {
+  out.reserve(pools * per_pool);
+  for (size_t pool = 0; pool < pools; ++pool) {
     const double off = static_cast<double>(pool);
     for (size_t i = 0; i < per_pool; ++i) {
       ml::TrainingExample ex;
@@ -551,12 +523,208 @@ ScenarioResult RunBackpressure(const FaultPlan& plan,
   return result;
 }
 
-/// shard-isolation: the plan kills the feather expert's registry after its
-/// Nth routed request and stalls only feather workers. One dead/slow expert
-/// must degrade only its own pool: golf and bowling answers stay
-/// bit-identical to their experts throughout, feather traffic escalates
-/// ("dead") to the one-model shard which absorbs it with base-model
-/// answers, and not a single request is lost anywhere on the ladder.
+// ------------------------------------------------ per-pool fabric rig --
+
+/// A trained two-step model over three well-separated pools plus nine
+/// probes (three per pool, all training rows so the anomaly policy stays
+/// quiet) with the group each is classified into and both offline oracles,
+/// precomputed once: 1M-scale drivers cannot afford a Predict per response.
+struct PoolRig {
+  explicit PoolRig(const core::PredictorConfig& cfg) : two_step(cfg) {}
+
+  core::TwoStepPredictor two_step;
+  std::vector<linalg::Vector> probes;
+  std::vector<std::string> probe_group;  ///< the step-1 vote's group name
+  std::vector<core::Prediction> expect_expert, expect_base;
+};
+
+PoolRig MakePoolRig(uint64_t seed, Violations* v) {
+  core::PredictorConfig cfg;
+  cfg.kcca.solver = ml::KccaSolver::kExact;
+  PoolRig rig(cfg);
+  const auto examples = PoolExamples(3, 40, seed);
+  rig.two_step.Train(examples);
+  for (const workload::QueryType type :
+       {workload::QueryType::kFeather, workload::QueryType::kGolfBall,
+        workload::QueryType::kBowlingBall}) {
+    v->Check(rig.two_step.HasCategoryModel(type),
+             std::string("no expert trained for pool ") +
+                 workload::QueryTypeName(type));
+  }
+  // Expectations use the classifier's own verdict — identical to what the
+  // fabric computes — so the invariants hold even if a probe's neighbor
+  // vote were to land in a surprising pool.
+  for (size_t j = 0; j < 9; ++j) {
+    const linalg::Vector& probe = examples[(j % 3) * 40 + j / 3].query_features;
+    rig.probes.push_back(probe);
+    rig.expect_base.push_back(rig.two_step.base().Predict(probe));
+    rig.probe_group.push_back(
+        workload::QueryTypeName(rig.expect_base.back().predicted_type));
+    rig.expect_expert.push_back(rig.two_step.Predict(probe));
+  }
+  return rig;
+}
+
+/// Replica services for sequential, bit-comparable driving.
+serve::ServiceConfig SequentialReplicaConfig() {
+  serve::ServiceConfig config;
+  config.num_workers = 1;     // sequential driving => batch size 1
+  config.max_batch = 1;       // ... even if dispatches ever overlap
+  config.cache_capacity = 0;  // every answer is model or fallback
+  config.queue_deadline_seconds = 5.0;  // << injected replica stalls
+  // Serve the prediction (flag intact) instead of the anomalous fallback:
+  // the offline TwoStepPredictor does no fallback either, so this keeps
+  // every healthy answer bit-comparable to it. The anomaly policy has its
+  // own coverage in the serve tests.
+  config.fallback_on_anomalous = false;
+  return config;
+}
+
+/// What one sequential probe run through a per-pool fabric observed.
+struct ProbeTally {
+  size_t mismatches = 0, misrouted = 0, unexpected = 0;
+  uint64_t absorbed = 0;         ///< answered by the catch-all group
+  uint64_t deadline_seen = 0;    ///< labeled deadline misses of the target
+  uint64_t target_model = 0;     ///< clean answers from the target replica
+  uint64_t target_pool = 0;      ///< requests voted into the target's group
+  uint64_t absorbed_target = 0;  ///< absorbed requests of the target's pool
+  /// 1-based ordinal, within the target pool's requests, of the first one
+  /// the catch-all absorbed (0 = none).
+  uint64_t first_absorbed_ordinal = 0;
+};
+
+/// Submits `requests` requests cycling through the rig's probes, calling
+/// `before_submit(i)` ahead of request i. Every answer must come from the
+/// probe's own group, bit-identical to its expert (the `target` replica
+/// may instead answer a labeled deadline miss), or from the catch-all,
+/// bit-identical to the base model.
+ProbeTally DriveProbes(fabric::Fabric* fab, const PoolRig& rig,
+                       const std::string& target, size_t requests,
+                       const std::function<void(size_t)>& before_submit) {
+  const std::string target_group = target.substr(0, target.rfind('#'));
+  const std::string catch_prefix = fab->catch_all_name() + "#";
+  ProbeTally t;
+  for (size_t i = 0; i < requests; ++i) {
+    before_submit(i);
+    const size_t j = i % rig.probes.size();
+    const bool in_target_pool = rig.probe_group[j] == target_group;
+    if (in_target_pool) ++t.target_pool;
+    const serve::ServeResponse resp =
+        fab->Submit({rig.probes[j], 100.0}).get();
+    if (resp.shard.rfind(rig.probe_group[j] + "#", 0) == 0) {
+      // Answered inside the classified pool's own replica group.
+      if (resp.degraded()) {
+        if (resp.degraded_reason == "deadline" && resp.shard == target) {
+          ++t.deadline_seen;  // the targeted stall, surfaced and labeled
+        } else {
+          ++t.unexpected;
+        }
+      } else if (!BitIdentical(resp.prediction, rig.expect_expert[j])) {
+        ++t.mismatches;
+      } else if (resp.shard == target) {
+        ++t.target_model;
+      }
+    } else if (resp.shard.rfind(catch_prefix, 0) == 0) {
+      // Escalated: the catch-all absorbs with base-model answers.
+      ++t.absorbed;
+      if (in_target_pool) {
+        ++t.absorbed_target;
+        if (t.first_absorbed_ordinal == 0) {
+          t.first_absorbed_ordinal = t.target_pool;
+        }
+      }
+      if (resp.degraded()) {
+        ++t.unexpected;
+      } else if (!BitIdentical(resp.prediction, rig.expect_base[j])) {
+        ++t.mismatches;
+      }
+    } else {
+      ++t.misrouted;
+    }
+  }
+  fab->Shutdown();
+  return t;
+}
+
+/// The invariants both replica-fault scenarios share: clean answers,
+/// stalls == deadline misses on the target only, the kill fired once and
+/// took the target's model, only the "dead" rung below the expert ever
+/// fired, the route cache classified each probe once, every replica's
+/// accounting identity holds, and no request was lost.
+void CheckReplicaFaultRun(fabric::Fabric* fab,
+                          const FaultInjector& injector, const PoolRig& rig,
+                          const ProbeTally& t, const std::string& target,
+                          size_t requests, Violations* v) {
+  v->Check(t.misrouted == 0,
+           StrFormat("%llu responses from outside the classified group",
+                     static_cast<unsigned long long>(t.misrouted)));
+  v->Check(t.mismatches == 0,
+           StrFormat("%llu responses did not bit-match their expert",
+                     static_cast<unsigned long long>(t.mismatches)));
+  v->Check(t.unexpected == 0,
+           StrFormat("%llu degradations outside the injected faults",
+                     static_cast<unsigned long long>(t.unexpected)));
+  v->Check(injector.injected("replica_kill") == 1,
+           "the replica kill must fire exactly once");
+  v->Check(injector.injected("replica_stall") == t.deadline_seen,
+           StrFormat("deadline fallbacks %llu != injected replica stalls "
+                     "%llu (batch size 1 must map 1:1)",
+                     static_cast<unsigned long long>(t.deadline_seen),
+                     static_cast<unsigned long long>(
+                         injector.injected("replica_stall"))));
+  const std::string group = target.substr(0, target.rfind('#'));
+  const size_t index = std::stoul(target.substr(target.rfind('#') + 1));
+  v->Check(fab->health(group, index) == fabric::ReplicaHealth::kDead,
+           "killed replica is not marked dead");
+  const serve::ModelRegistry* killed = fab->registry(group, index);
+  v->Check(!killed->has_model(), "killed replica still has a model");
+  v->Check(killed->generation() == 1,
+           "kill must retain the generation counter, not reset it");
+
+  const fabric::FabricStatsSnapshot stats = fab->stats();
+  v->Check(stats.escalations_dead == t.absorbed,
+           "dead-escalation count != client-observed absorbed requests");
+  v->Check(stats.escalations_open == 0 &&
+               stats.escalations_overloaded == 0 &&
+               stats.fallback_exhausted == 0,
+           "ladder rungs below 'dead' fired under sequential driving");
+  v->Check(stats.shed == 0 && stats.deferred == 0,
+           "admission acted while disabled");
+  v->Check(stats.classified == rig.probes.size(),
+           "classifier calls != distinct probes (route cache broken)");
+  v->Check(stats.classified + stats.route_cache_hits == requests,
+           "every request must be classified or route-cache answered");
+  uint64_t served = 0;
+  for (const auto& g : stats.groups) {
+    if (g.catch_all) {
+      v->Check(g.absorbed == t.absorbed,
+               "catch-all absorbed counter != dead escalations");
+    } else {
+      v->Check(g.absorbed == 0, "an expert group absorbed traffic");
+    }
+    for (const auto& r : g.replicas) {
+      CheckAccounting(r.service, v);
+      served += r.service.requests;
+      if (r.label == target) {
+        v->Check(r.service.fallback_deadline == t.deadline_seen,
+                 "target deadline fallbacks != client-observed stalls");
+      } else {
+        v->Check(r.service.fallbacks() == 0,
+                 "a non-target replica degraded (containment broken): " +
+                     r.label);
+      }
+    }
+  }
+  v->Check(served == requests, "a request was lost on the ladder");
+}
+
+/// shard-isolation: a one-replica-per-pool fabric (the plain per-pool
+/// deployment) whose feather expert "feather#0" is stalled and then killed
+/// on its Nth pick. One dead/slow expert must degrade only its own pool:
+/// golf and bowling answers stay bit-identical to their experts
+/// throughout, feather traffic escalates ("dead") from the killing pick on
+/// to the one-model catch-all which absorbs it with base-model answers,
+/// and not a single request is lost anywhere on the ladder.
 ScenarioResult RunShardIsolation(const FaultPlan& plan,
                                  const ChaosOptions& opts) {
   ScenarioResult result;
@@ -564,158 +732,46 @@ ScenarioResult RunShardIsolation(const FaultPlan& plan,
   Violations v(&result);
 
   FaultInjector injector(plan);
+  const PoolRig rig = MakePoolRig(opts.seed ^ 0x54A8Dull, &v);
+  fabric::FabricConfig config =
+      fabric::MakePerPoolFabricConfig(1, SequentialReplicaConfig());
+  config.faults = &injector;  // installs the default replica-kill hook
+  fabric::Fabric fab(std::move(config), ChaosCalibration());
+  fabric::PublishTwoStep(rig.two_step, &fab);
 
-  core::PredictorConfig cfg;
-  cfg.kcca.solver = ml::KccaSolver::kExact;
-  core::TwoStepPredictor two_step(cfg);
-  const auto examples = MultiPoolExamples(40, opts.seed ^ 0x54A8Dull);
-  two_step.Train(examples);
-  for (const workload::QueryType type :
-       {workload::QueryType::kFeather, workload::QueryType::kGolfBall,
-        workload::QueryType::kBowlingBall}) {
-    v.Check(two_step.HasCategoryModel(type),
-            std::string("no expert trained for pool ") +
-                workload::QueryTypeName(type));
-  }
+  const std::string& target = plan.serve.target_replica_label;  // feather#0
+  const uint64_t kill_at = plan.serve.replica_kill_after_picks;
+  const ProbeTally t =
+      DriveProbes(&fab, rig, target, opts.requests, [](size_t) {});
+  CheckReplicaFaultRun(&fab, injector, rig, t, target, opts.requests, &v);
 
-  serve::ServiceConfig service_config;
-  service_config.num_workers = 1;     // sequential driving => batch size 1
-  service_config.cache_capacity = 0;  // every answer is model or fallback
-  service_config.queue_deadline_seconds = 5.0;  // << injected shard stalls
-  // Serve the prediction (flag intact) instead of the anomalous fallback:
-  // the offline TwoStepPredictor does no fallback either, so this keeps
-  // every healthy answer bit-comparable to it. The anomaly policy has its
-  // own coverage in the serve tests.
-  service_config.fallback_on_anomalous = false;
-  shard::ShardRouterConfig router_config =
-      shard::MakePerPoolConfig(service_config);
-  router_config.faults = &injector;  // installs the default kill hook
-  shard::ShardRouter router(std::move(router_config), ChaosCalibration());
-  shard::PublishTwoStep(two_step, &router);
-
-  // Probes are training rows (pool-major), so the anomaly policy stays
-  // quiet; expectations use the classifier's own verdict — identical to
-  // what the router computes — so the invariants hold even if a probe's
-  // neighbor vote were to land in a surprising pool.
-  const size_t kProbes = 9;
-  std::vector<linalg::Vector> probes;
-  std::vector<std::string> probe_shard;
-  for (size_t j = 0; j < kProbes; ++j) {
-    const size_t pool = j % 3;
-    probes.push_back(examples[pool * 40 + j / 3].query_features);
-    probe_shard.push_back(workload::QueryTypeName(
-        two_step.base().Predict(probes.back()).predicted_type));
-  }
-
-  const uint64_t kill_at = plan.serve.shard_kill_after_requests;
-  const std::string& target = plan.serve.target_shard;
-  uint64_t target_seen = 0;  // mirrors the injector's routed-request count
-  uint64_t pre_kill_model = 0, pre_kill_deadline = 0, absorbed = 0;
-  size_t mismatches = 0, misrouted = 0, unexpected_degraded = 0;
-  for (size_t i = 0; i < opts.requests; ++i) {
-    const size_t j = i % kProbes;
-    const serve::ServeResponse resp =
-        router.Submit({probes[j], 100.0}).get();
-    const bool to_target = probe_shard[j] == target;
-    if (to_target) ++target_seen;
-    const bool post_kill = to_target && kill_at > 0 && target_seen >= kill_at;
-    if (post_kill) {
-      // Dead expert: the one-model shard absorbs with base-model answers.
-      ++absorbed;
-      if (resp.shard != router.catch_all_name()) ++misrouted;
-      if (resp.degraded()) {
-        ++unexpected_degraded;
-      } else if (!BitIdentical(resp.prediction,
-                               two_step.base().Predict(probes[j]))) {
-        ++mismatches;
-      }
-      continue;
-    }
-    // Healthy path: answered by the classified pool's own expert, and —
-    // for golf/bowling the whole run, for feather until the kill —
-    // bit-identical to the offline TwoStepPredictor.
-    if (resp.shard != probe_shard[j]) ++misrouted;
-    if (resp.degraded()) {
-      if (to_target && resp.degraded_reason == "deadline") {
-        ++pre_kill_deadline;  // the targeted stall, surfaced and labeled
-      } else {
-        ++unexpected_degraded;
-      }
-    } else {
-      if (to_target) ++pre_kill_model;
-      if (!BitIdentical(resp.prediction, two_step.Predict(probes[j]))) {
-        ++mismatches;
-      }
-    }
-  }
-  router.Shutdown();
-
-  v.Check(misrouted == 0,
-          StrFormat("%llu responses from the wrong shard",
-                    static_cast<unsigned long long>(misrouted)));
-  v.Check(mismatches == 0,
-          StrFormat("%llu responses did not bit-match their expert",
-                    static_cast<unsigned long long>(mismatches)));
-  v.Check(unexpected_degraded == 0,
-          StrFormat("%llu degradations outside the injected faults",
-                    static_cast<unsigned long long>(unexpected_degraded)));
-  v.Check(target_seen > kill_at,
+  // A one-replica group has no peers: from the killing pick on, every
+  // request of the target's pool is absorbed, and none before it.
+  v.Check(t.target_pool > kill_at,
           "not enough target-pool traffic to prove isolation");
-  v.Check(absorbed > 0, "the one-model shard absorbed nothing");
-  v.Check(injector.injected("shard_kill") == 1,
-          "the kill must fire exactly once");
-  v.Check(injector.injected("shard_stall") == pre_kill_deadline,
-          StrFormat("deadline fallbacks %llu != injected shard stalls %llu "
-                    "(batch size 1 must map 1:1)",
-                    static_cast<unsigned long long>(pre_kill_deadline),
-                    static_cast<unsigned long long>(
-                        injector.injected("shard_stall"))));
-  v.Check(pre_kill_model > 0, "target expert never answered before the kill");
-
-  serve::ModelRegistry* killed = router.registry(target);
-  v.Check(killed != nullptr && !killed->has_model(),
-          "target registry still has a model after the kill");
-  v.Check(killed != nullptr && killed->generation() == 1,
-          "kill must retain the generation counter, not reset it");
-
-  const shard::ShardStatsSnapshot stats = router.stats();
-  v.Check(stats.escalations_dead == absorbed,
-          "dead-escalation count != client-observed absorbed requests");
-  v.Check(stats.escalations_open == 0 && stats.escalations_overloaded == 0 &&
-              stats.fallback_exhausted == 0,
-          "ladder rungs below 'dead' fired under sequential driving");
-  v.Check(stats.classified + stats.route_cache_hits == opts.requests,
-          "every request must be classified or route-cache answered");
-  v.Check(stats.classified == kProbes,
-          "classifier calls != distinct probes (route cache broken)");
-  uint64_t served = 0;
-  for (const auto& s : stats.shards) {
-    CheckAccounting(s.service, &v);
-    served += s.service.requests;
-    if (s.name == target) {
-      v.Check(s.service.requests == target_seen - absorbed,
-              "target shard served traffic after its kill");
-      v.Check(s.service.fallback_deadline == pre_kill_deadline,
-              "target deadline fallbacks != client-observed stalls");
-    } else if (!s.catch_all) {
-      v.Check(s.service.fallbacks() == 0,
-              "a non-target expert degraded (isolation broken): " + s.name);
-      v.Check(s.absorbed == 0, "a non-target expert absorbed traffic");
-    } else {
-      v.Check(s.absorbed == absorbed,
-              "one-model absorbed counter != dead escalations");
+  v.Check(t.absorbed > 0, "the one-model catch-all absorbed nothing");
+  v.Check(t.absorbed == t.absorbed_target &&
+              t.first_absorbed_ordinal == kill_at &&
+              t.absorbed == t.target_pool - kill_at + 1,
+          "absorbed requests are not exactly the target pool's from the "
+          "killing pick on");
+  v.Check(t.target_model > 0, "target expert never answered before the kill");
+  for (const auto& g : fab.stats().groups) {
+    for (const auto& r : g.replicas) {
+      if (r.label != target) continue;
+      v.Check(r.service.requests == t.target_pool - t.absorbed,
+              "target replica served traffic after its kill");
     }
   }
-  v.Check(served == opts.requests, "a request was lost on the ladder");
 
   result.report = FaultDigest(injector);
-  result.report += stats.ToString();
+  result.report += fab.stats().ToString();
   result.report += StrFormat(
       "target traffic:     %llu (model %llu, stalled %llu, absorbed %llu)\n",
-      static_cast<unsigned long long>(target_seen),
-      static_cast<unsigned long long>(pre_kill_model),
-      static_cast<unsigned long long>(pre_kill_deadline),
-      static_cast<unsigned long long>(absorbed));
+      static_cast<unsigned long long>(t.target_pool),
+      static_cast<unsigned long long>(t.target_model),
+      static_cast<unsigned long long>(t.deadline_seen),
+      static_cast<unsigned long long>(t.absorbed));
   return result;
 }
 
@@ -734,175 +790,66 @@ ScenarioResult RunRollingDrain(const FaultPlan& plan,
   Violations v(&result);
 
   FaultInjector injector(plan);
-
-  core::PredictorConfig cfg;
-  cfg.kcca.solver = ml::KccaSolver::kExact;
-  core::TwoStepPredictor two_step(cfg);
-  const auto examples = MultiPoolExamples(40, opts.seed ^ 0x0D3A1ull);
-  two_step.Train(examples);
-  for (const workload::QueryType type :
-       {workload::QueryType::kFeather, workload::QueryType::kGolfBall,
-        workload::QueryType::kBowlingBall}) {
-    v.Check(two_step.HasCategoryModel(type),
-            std::string("no expert trained for pool ") +
-                workload::QueryTypeName(type));
-  }
-
-  serve::ServiceConfig service_config;
-  service_config.num_workers = 1;     // sequential driving => batch size 1
-  service_config.max_batch = 1;       // ... even if dispatches ever overlap
-  service_config.cache_capacity = 0;  // every answer is model or fallback
-  service_config.queue_deadline_seconds = 5.0;  // << injected replica stalls
-  service_config.fallback_on_anomalous = false;  // bit-compare healthy paths
-
+  const PoolRig rig = MakePoolRig(opts.seed ^ 0x0D3A1ull, &v);
   fabric::FabricConfig config =
-      fabric::MakePerPoolFabricConfig(3, service_config);
+      fabric::MakePerPoolFabricConfig(3, SequentialReplicaConfig());
   config.faults = &injector;  // installs the default replica-kill hook
   config.p2c_seed = SplitMix64(opts.seed ^ 0xFAB51Cull);
   fabric::Fabric fab(std::move(config), ChaosCalibration());
-  fabric::PublishTwoStep(two_step, &fab);
+  fabric::PublishTwoStep(rig.two_step, &fab);
 
   const std::string golf_group =
       workload::QueryTypeName(workload::QueryType::kGolfBall);
   const auto golf_model = std::make_shared<const core::Predictor>(
-      *two_step.CategoryModel(workload::QueryType::kGolfBall));
-
-  const size_t kProbes = 9;
-  std::vector<linalg::Vector> probes;
-  std::vector<std::string> probe_group;
-  for (size_t j = 0; j < kProbes; ++j) {
-    const size_t pool = j % 3;
-    probes.push_back(examples[pool * 40 + j / 3].query_features);
-    probe_group.push_back(workload::QueryTypeName(
-        two_step.base().Predict(probes.back()).predicted_type));
-  }
-  // Precompute the oracles once; 1M-scale callers of the same loop below
-  // (the fabric soak) cannot afford a Predict per response.
-  std::vector<core::Prediction> expect_expert, expect_base;
-  for (size_t j = 0; j < kProbes; ++j) {
-    expect_expert.push_back(two_step.Predict(probes[j]));
-    expect_base.push_back(two_step.base().Predict(probes[j]));
-  }
+      *rig.two_step.CategoryModel(workload::QueryType::kGolfBall));
 
   const std::string& target = plan.serve.target_replica_label;  // feather#1
-  size_t mismatches = 0, misrouted = 0, unexpected = 0;
-  uint64_t absorbed = 0, deadline_seen = 0, drain_ops = 0;
-  for (size_t i = 0; i < opts.requests; ++i) {
-    // Roll the golf group: drain-swap-revive replica r at the r-th quarter.
-    if (i > 0 && opts.requests >= 8 && i % (opts.requests / 4) == 0) {
-      const size_t r = i / (opts.requests / 4) - 1;
-      if (r < 3) {
+  uint64_t drain_ops = 0;
+  const ProbeTally t =
+      DriveProbes(&fab, rig, target, opts.requests, [&](size_t i) {
+        // Roll the golf group: drain-swap-revive replica r at the r-th
+        // quarter.
+        if (i == 0 || opts.requests < 8 || i % (opts.requests / 4) != 0) {
+          return;
+        }
+        const size_t r = i / (opts.requests / 4) - 1;
+        if (r >= 3) return;
         v.Check(fab.DrainSwapRevive(golf_group, r, golf_model),
                 StrFormat("drain-swap-revive of replica %llu failed",
                           static_cast<unsigned long long>(r)));
         ++drain_ops;
-      }
-    }
-    const size_t j = i % kProbes;
-    const serve::ServeResponse resp = fab.Submit({probes[j], 100.0}).get();
-    if (resp.shard.rfind(probe_group[j] + "#", 0) == 0) {
-      // Answered inside the classified pool's own replica group.
-      if (resp.degraded()) {
-        if (resp.degraded_reason == "deadline" && resp.shard == target) {
-          ++deadline_seen;  // the targeted stall, surfaced and labeled
-        } else {
-          ++unexpected;
-        }
-      } else if (!BitIdentical(resp.prediction, expect_expert[j])) {
-        ++mismatches;
-      }
-    } else if (resp.shard.rfind(fab.catch_all_name() + "#", 0) == 0) {
-      // Escalated: only the killing pick itself may land here.
-      ++absorbed;
-      if (resp.degraded()) {
-        ++unexpected;
-      } else if (!BitIdentical(resp.prediction, expect_base[j])) {
-        ++mismatches;
-      }
-    } else {
-      ++misrouted;
-    }
-  }
-  fab.Shutdown();
+      });
+  CheckReplicaFaultRun(&fab, injector, rig, t, target, opts.requests, &v);
 
-  v.Check(misrouted == 0,
-          StrFormat("%llu responses from outside the classified group",
-                    static_cast<unsigned long long>(misrouted)));
-  v.Check(mismatches == 0,
-          StrFormat("%llu responses did not bit-match their expert",
-                    static_cast<unsigned long long>(mismatches)));
-  v.Check(unexpected == 0,
-          StrFormat("%llu degradations outside the injected faults",
-                    static_cast<unsigned long long>(unexpected)));
-  v.Check(injector.injected("replica_kill") == 1,
-          "the replica kill must fire exactly once");
-  v.Check(absorbed == 1,
+  v.Check(t.absorbed == 1,
           StrFormat("catch-all absorbed %llu requests; only the killing "
                     "pick may escalate (the group has live peers)",
-                    static_cast<unsigned long long>(absorbed)));
-  v.Check(injector.injected("replica_stall") == deadline_seen,
-          StrFormat("deadline fallbacks %llu != injected replica stalls "
-                    "%llu (batch size 1 must map 1:1)",
-                    static_cast<unsigned long long>(deadline_seen),
-                    static_cast<unsigned long long>(
-                        injector.injected("replica_stall"))));
-  v.Check(deadline_seen > 0, "target replica never stalled before the kill");
-  v.Check(fab.health("feather", 1) == fabric::ReplicaHealth::kDead,
-          "killed replica is not marked dead");
-  v.Check(!fab.registry("feather", 1)->has_model(),
-          "killed replica still has a model");
-  v.Check(fab.registry("feather", 1)->generation() == 1,
-          "kill must retain the generation counter, not reset it");
+                    static_cast<unsigned long long>(t.absorbed)));
+  v.Check(t.deadline_seen > 0,
+          "target replica never stalled before the kill");
   for (size_t r = 0; r < drain_ops; ++r) {
     v.Check(fab.registry(golf_group, r)->generation() == 2,
             "drained replica did not take the republished model");
     v.Check(fab.health(golf_group, r) == fabric::ReplicaHealth::kUp,
             "drained replica was not revived");
   }
-
   const fabric::FabricStatsSnapshot stats = fab.stats();
   v.Check(stats.drains == drain_ops,
           "drains counter != drain-swap-revive operations");
-  v.Check(stats.escalations_dead == absorbed,
-          "dead-escalation count != client-observed absorbed requests");
-  v.Check(stats.escalations_open == 0 && stats.escalations_overloaded == 0 &&
-              stats.fallback_exhausted == 0,
-          "ladder rungs below 'dead' fired under sequential driving");
-  v.Check(stats.shed == 0 && stats.deferred == 0,
-          "admission acted while disabled");
-  v.Check(stats.classified == kProbes,
-          "classifier calls != distinct probes (route cache broken)");
-  v.Check(stats.classified + stats.route_cache_hits == opts.requests,
-          "every request must be classified or route-cache answered");
-  uint64_t served = 0;
   for (const auto& g : stats.groups) {
+    if (g.name != golf_group) continue;
     for (const auto& r : g.replicas) {
-      CheckAccounting(r.service, &v);
-      served += r.service.requests;
-      if (r.label == target) {
-        v.Check(r.service.fallback_deadline == deadline_seen,
-                "target deadline fallbacks != client-observed stalls");
-      } else {
-        v.Check(r.service.fallbacks() == 0,
-                "a non-target replica degraded (containment broken): " +
-                    r.label);
-      }
-    }
-    if (g.name == golf_group) {
-      for (const auto& r : g.replicas) {
-        v.Check(r.picks > 0, "a golf replica never took a pick: " + r.label);
-      }
+      v.Check(r.picks > 0, "a golf replica never took a pick: " + r.label);
     }
   }
-  v.Check(served == opts.requests, "a request was lost on the ladder");
 
   result.report = FaultDigest(injector);
   result.report += stats.ToString();
   result.report += StrFormat(
       "rolling drains:     %llu (stalled %llu, absorbed %llu)\n",
       static_cast<unsigned long long>(drain_ops),
-      static_cast<unsigned long long>(deadline_seen),
-      static_cast<unsigned long long>(absorbed));
+      static_cast<unsigned long long>(t.deadline_seen),
+      static_cast<unsigned long long>(t.absorbed));
   return result;
 }
 
@@ -1187,10 +1134,10 @@ FaultPlan ChaosScenarioPlan(const std::string& name, uint64_t seed) {
   } else if (name == "backpressure") {
     plan.serve.submit_reject_probability = 0.4;
   } else if (name == "shard-isolation") {
-    plan.serve.target_shard = "feather";
-    plan.serve.shard_kill_after_requests = 25;
-    plan.serve.shard_stall_probability = 0.3;
-    plan.serve.shard_stall_seconds = 60.0;
+    plan.serve.target_replica_label = "feather#0";
+    plan.serve.replica_kill_after_picks = 25;
+    plan.serve.replica_stall_probability = 0.3;
+    plan.serve.replica_stall_seconds = 60.0;
   } else if (name == "rolling-drain") {
     // The kill must land inside small harness runs too: at 200 requests
     // (the unit-test scale) the target sees ~20 picks, so 15 is the
@@ -1378,7 +1325,7 @@ FabricSoakResult RunFabricSoak(const ChaosOptions& options) {
   core::PredictorConfig cfg;
   cfg.kcca.solver = ml::KccaSolver::kExact;
   core::TwoStepPredictor two_step(cfg);
-  const auto examples = FourPoolExamples(40, options.seed ^ 0xFAB50ull);
+  const auto examples = PoolExamples(4, 40, options.seed ^ 0xFAB50ull);
   two_step.Train(examples);
   for (const workload::QueryType type :
        {workload::QueryType::kFeather, workload::QueryType::kGolfBall,
@@ -1711,7 +1658,7 @@ ObsFlightDemoResult RunObsFlightDemo(const ChaosOptions& options) {
   core::PredictorConfig cfg;
   cfg.kcca.solver = ml::KccaSolver::kExact;
   core::TwoStepPredictor two_step(cfg);
-  const auto examples = FourPoolExamples(40, options.seed ^ 0x0B5D3340ull);
+  const auto examples = PoolExamples(4, 40, options.seed ^ 0x0B5D3340ull);
   two_step.Train(examples);
 
   serve::ServiceConfig service_config;

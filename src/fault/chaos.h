@@ -23,10 +23,12 @@
 //                   yields a broken future and the stats accounting
 //                   identity (requests == cache + model + fallbacks)
 //                   holds exactly.
-//   shard-isolation shard: the feather expert is stalled and then killed
-//                   mid-run under a ShardRouter; golf/bowling answers stay
-//                   bit-identical to their experts, feather traffic is
-//                   absorbed by the one-model shard, zero requests lost.
+//   shard-isolation fabric: in a one-replica-per-pool fabric the feather
+//                   expert ("feather#0") is stalled and then killed
+//                   mid-run; golf/bowling answers stay bit-identical to
+//                   their experts, feather traffic from the killing pick
+//                   on is absorbed by the one-model catch-all, zero
+//                   requests lost.
 //   rolling-drain   fabric: one replica of the feather group is stalled
 //                   and then killed while the golf group is drain-swapped
 //                   replica by replica; the surviving peers absorb the

@@ -10,11 +10,13 @@ namespace qpp::fault {
 
 namespace {
 constexpr uint32_t kMagic = 0x51505046;  // "QPPF" little-endian
-// v1: engine + serve probabilities. v2 appends the shard-targeted serve
-// fields; v3 appends the replica-targeted serve fields; v4 appends the
-// model_poison lifecycle fields. Older files still load (the appended
-// fault families default to disabled).
-constexpr uint32_t kVersion = 4;
+// v1: engine + serve probabilities. v2 appended shard-targeted serve
+// fields (a target name, a counted kill, a stall probability and length);
+// v3 appends the replica-targeted serve fields; v4 the model_poison
+// lifecycle fields; v5 drops the shard fields again (replica targets
+// cover them). Older files still load (later fault families default to
+// disabled) unless their shard fields aim at something.
+constexpr uint32_t kVersion = 5;
 }  // namespace
 
 void FaultPlan::Write(BinaryWriter* w) const {
@@ -37,10 +39,6 @@ void FaultPlan::Write(BinaryWriter* w) const {
   w->WriteDouble(serve.worker_stall_probability);
   w->WriteDouble(serve.worker_stall_seconds);
   w->WriteDouble(serve.registry_swap_probability);
-  w->WriteString(serve.target_shard);
-  w->WriteU64(serve.shard_kill_after_requests);
-  w->WriteDouble(serve.shard_stall_probability);
-  w->WriteDouble(serve.shard_stall_seconds);
   w->WriteString(serve.target_replica_label);
   w->WriteU64(serve.replica_kill_after_picks);
   w->WriteDouble(serve.replica_stall_probability);
@@ -72,11 +70,17 @@ FaultPlan FaultPlan::Read(BinaryReader* r) {
   p.serve.worker_stall_probability = r->ReadDouble();
   p.serve.worker_stall_seconds = r->ReadDouble();
   p.serve.registry_swap_probability = r->ReadDouble();
-  if (version >= 2) {
-    p.serve.target_shard = r->ReadString();
-    p.serve.shard_kill_after_requests = r->ReadU64();
-    p.serve.shard_stall_probability = r->ReadDouble();
-    p.serve.shard_stall_seconds = r->ReadDouble();
+  if (version >= 2 && version <= 4) {
+    const std::string shard = r->ReadString();
+    const uint64_t kill_after_requests = r->ReadU64();
+    const double stall_probability = r->ReadDouble();
+    r->ReadDouble();  // stall seconds
+    QPP_CHECK_MSG(shard.empty() ||
+                      (kill_after_requests == 0 && stall_probability <= 0.0),
+                  "fault plan v" << version << " targets shard \"" << shard
+                                 << "\"; shard faults are retired, use "
+                                    "target_replica_label = \""
+                                 << shard << "#0\"");
   }
   if (version >= 3) {
     p.serve.target_replica_label = r->ReadString();
@@ -114,13 +118,6 @@ std::string FaultPlan::ToString() const {
         "registry_swap p=%.2f\n",
         serve.submit_reject_probability, serve.worker_stall_probability,
         serve.worker_stall_seconds, serve.registry_swap_probability);
-    if (serve.shard_targeted()) {
-      os << StrFormat(
-          "  shard \"%s\": kill after %llu routed | stall p=%.2f %.1fs\n",
-          serve.target_shard.c_str(),
-          static_cast<unsigned long long>(serve.shard_kill_after_requests),
-          serve.shard_stall_probability, serve.shard_stall_seconds);
-    }
     if (serve.replica_targeted()) {
       os << StrFormat(
           "  replica \"%s\": kill after %llu picks | stall p=%.2f %.1fs\n",

@@ -16,6 +16,16 @@ double SecondsSince(std::chrono::steady_clock::time_point start,
   return std::chrono::duration<double>(end - start).count();
 }
 
+/// A model-path (kModel / kCache) answer from `generation`.
+ServeResponse ModelAnswer(core::Prediction prediction, ResponseSource source,
+                          uint64_t generation) {
+  ServeResponse response;
+  response.prediction = std::move(prediction);
+  response.source = source;
+  response.model_generation = generation;
+  return response;
+}
+
 }  // namespace
 
 const char* ResponseSourceName(ResponseSource s) {
@@ -67,11 +77,8 @@ std::future<ServeResponse> PredictionService::Submit(ServeRequest request) {
   if (!queue_.Push(std::move(pending))) {
     // Lost the race with Shutdown(): answer directly instead of dropping.
     stats_.RecordFallbackShutdown();
-    Respond(&pending,
-            FallbackPrediction(calibration_, pending.request.optimizer_cost,
-                               /*anomalous=*/false),
-            ResponseSource::kOptimizerFallback, "shutdown",
-            /*generation=*/0);
+    Respond(&pending, FallbackResponse(calibration_, pending.request,
+                                       "shutdown"));
   }
   return future;
 }
@@ -134,10 +141,7 @@ std::future<ServeResponse> PredictionService::SubmitWithRetry(
   std::future<ServeResponse> future = pending.promise.get_future();
   stats_.RecordFallbackOverload();
   Respond(&pending,
-          FallbackPrediction(calibration_, pending.request.optimizer_cost,
-                             /*anomalous=*/false),
-          ResponseSource::kOptimizerFallback, "overload",
-          /*generation=*/0);
+          FallbackResponse(calibration_, pending.request, "overload"));
   return future;
 }
 
@@ -204,18 +208,9 @@ void PredictionService::ProcessBatch(std::vector<Pending>* batch,
           std::min(bf.stall_seconds, 0.001)));
     }
     if (!config_.shard_label.empty()) {
-      // Shard-targeted stall: only fires on the service whose label the
-      // plan names, so chaos can slow one expert while its peers run clean.
-      const fault::FaultInjector::BatchFaults sf =
-          config_.faults->NextShardBatchFaults(config_.shard_label);
-      if (sf.stall_seconds > 0.0) {
-        virtual_age += sf.stall_seconds;
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            std::min(sf.stall_seconds, 0.001)));
-      }
-      // Replica-targeted stall: same mechanism one level down — the plan
-      // names a single "group#index" replica label, so chaos can slow one
-      // replica while its group peers absorb the traffic.
+      // Replica-targeted stall: only fires on the service whose
+      // "group#index" label the plan names, so chaos can slow one replica
+      // while its peers run clean.
       const fault::FaultInjector::BatchFaults rf =
           config_.faults->NextReplicaBatchFaults(config_.shard_label);
       if (rf.stall_seconds > 0.0) {
@@ -281,29 +276,19 @@ void PredictionService::ProcessBatch(std::vector<Pending>* batch,
       // A blown deadline is the predictor path failing its budget — this
       // is what the breaker watches.
       if (config_.breaker.enabled) breaker_.RecordFailure();
-      Respond(&p,
-              FallbackPrediction(calibration_, p.request.optimizer_cost,
-                                 /*anomalous=*/false),
-              ResponseSource::kOptimizerFallback, "deadline",
-              snap.generation);
+      Respond(&p, FallbackResponse(calibration_, p.request, "deadline",
+                                   snap.generation));
       continue;
     }
     if (!snap.valid()) {
       stats_.RecordFallbackNoModel();
-      Respond(&p,
-              FallbackPrediction(calibration_, p.request.optimizer_cost,
-                                 /*anomalous=*/false),
-              ResponseSource::kOptimizerFallback, "no-model",
-              /*generation=*/0);
+      Respond(&p, FallbackResponse(calibration_, p.request, "no-model"));
       continue;
     }
     if (config_.breaker.enabled && !breaker_.AllowRequest()) {
       stats_.RecordFallbackCircuitOpen();
-      Respond(&p,
-              FallbackPrediction(calibration_, p.request.optimizer_cost,
-                                 /*anomalous=*/false),
-              ResponseSource::kOptimizerFallback, "circuit-open",
-              snap.generation);
+      Respond(&p, FallbackResponse(calibration_, p.request, "circuit-open",
+                                   snap.generation));
       continue;
     }
     if (config_.cache_capacity > 0) {
@@ -316,10 +301,18 @@ void PredictionService::ProcessBatch(std::vector<Pending>* batch,
       // Entries from a retired model generation are treated as misses and
       // overwritten below, so a hot-swap can never serve stale results.
       if (hit && cached.generation == snap.generation) {
+        if (cached.prediction.anomalous && config_.fallback_on_anomalous) {
+          // A repeated anomalous plan gets the miss path's labeled answer
+          // (and accounting) without paying for the model again.
+          stats_.RecordFallbackAnomalous();
+          Respond(&p, FallbackResponse(calibration_, p.request, "anomalous",
+                                       snap.generation, /*anomalous=*/true));
+          continue;
+        }
         stats_.RecordCacheHit();
         if (config_.breaker.enabled) breaker_.RecordSuccess();
-        Respond(&p, std::move(cached.prediction), ResponseSource::kCache,
-                "", snap.generation);
+        Respond(&p, ModelAnswer(std::move(cached.prediction),
+                                ResponseSource::kCache, snap.generation));
         continue;
       }
     }
@@ -346,40 +339,29 @@ void PredictionService::ProcessBatch(std::vector<Pending>* batch,
   for (size_t j = 0; j < miss_indices.size(); ++j) {
     Pending& p = (*batch)[miss_indices[j]];
     const core::Prediction& prediction = predictions[j];
-    if (prediction.anomalous && config_.fallback_on_anomalous) {
-      // The model says "this query is far from everything I trained on";
-      // answering with the optimizer baseline (labeled) beats answering
-      // with a number the paper shows is untrustworthy there. Anomalous
-      // predictions are not cached: they are rare, and the cache only
-      // holds what was actually served as a model answer.
-      stats_.RecordFallbackAnomalous();
-      Respond(&p,
-              FallbackPrediction(calibration_, p.request.optimizer_cost,
-                                 /*anomalous=*/true),
-              ResponseSource::kOptimizerFallback, "anomalous",
-              snap.generation);
-      continue;
-    }
+    // Cached whatever its anomaly flag: a repeat of an anomalous plan is
+    // then answered from the cache probe above without a model call.
     if (config_.cache_capacity > 0) {
       std::lock_guard<std::mutex> lock(cache_mu_);
       cache_.Put(p.request.features, {snap.generation, prediction});
     }
+    if (prediction.anomalous && config_.fallback_on_anomalous) {
+      // The model says "this query is far from everything I trained on";
+      // answering with the optimizer baseline (labeled) beats answering
+      // with a number the paper shows is untrustworthy there.
+      stats_.RecordFallbackAnomalous();
+      Respond(&p, FallbackResponse(calibration_, p.request, "anomalous",
+                                   snap.generation, /*anomalous=*/true));
+      continue;
+    }
     stats_.RecordModelPrediction();
     if (config_.breaker.enabled) breaker_.RecordSuccess();
-    Respond(&p, prediction, ResponseSource::kModel, "", snap.generation);
+    Respond(&p, ModelAnswer(prediction, ResponseSource::kModel,
+                            snap.generation));
   }
 }
 
-void PredictionService::Respond(Pending* pending,
-                                core::Prediction prediction,
-                                ResponseSource source,
-                                std::string degraded_reason,
-                                uint64_t generation) {
-  ServeResponse response;
-  response.prediction = std::move(prediction);
-  response.source = source;
-  response.degraded_reason = std::move(degraded_reason);
-  response.model_generation = generation;
+void PredictionService::Respond(Pending* pending, ServeResponse response) {
   response.shard = config_.shard_label;
   response.trace_id = pending->request.ctx.trace_id;
   response.latency_seconds =
@@ -389,18 +371,32 @@ void PredictionService::Respond(Pending* pending,
   // SLO engine, its flight recorder) attribute to *this* request.
   obs::ScopedRequestContext respond_ctx(pending->request.ctx);
   stats_.RecordResponse(response.latency_seconds, response.trace_id);
-  if (config_.shadow != nullptr &&
-      source != ResponseSource::kOptimizerFallback) {
+  if (config_.shadow != nullptr && !response.degraded()) {
     // The shadow lane observes, never writes: it gets the served bits (and
     // the features that produced them) but the response object is already
     // built, so nothing the observer does can change what the client sees.
     stats_.RecordShadowObserved();
     config_.shadow->OnServedPrediction(pending->request.features,
-                                       response.prediction, generation,
+                                       response.prediction,
+                                       response.model_generation,
                                        response.trace_id);
   }
   if (config_.on_response) config_.on_response(response);
   pending->promise.set_value(std::move(response));
+}
+
+ServeResponse FallbackResponse(const CostCalibration& calibration,
+                               const ServeRequest& request,
+                               std::string reason, uint64_t generation,
+                               bool anomalous) {
+  ServeResponse response;
+  response.prediction =
+      FallbackPrediction(calibration, request.optimizer_cost, anomalous);
+  response.source = ResponseSource::kOptimizerFallback;
+  response.degraded_reason = std::move(reason);
+  response.model_generation = generation;
+  response.trace_id = request.ctx.trace_id;
+  return response;
 }
 
 core::WorkloadManager::Outcome AdmitServed(const core::WorkloadManager& wm,

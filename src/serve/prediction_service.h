@@ -93,8 +93,8 @@ struct ServeResponse {
   uint64_t model_generation = 0;
   /// Submit-to-response wall time.
   double latency_seconds = 0.0;
-  /// ServiceConfig::shard_label of the answering service; empty outside a
-  /// ShardRouter deployment (see shard/shard_router.h).
+  /// ServiceConfig::shard_label of the answering service: the replica
+  /// label ("group#index") inside a fabric, empty for a standalone service.
   std::string shard;
   /// The request's correlation id echoed back (0 when the request carried
   /// none): the handle for finding this request's spans in the Chrome
@@ -146,11 +146,11 @@ struct ServiceConfig {
   /// the fault points down to one pointer test each. The injector must
   /// outlive the service.
   fault::FaultInjector* faults = nullptr;
-  /// Name of the shard this service instance backs. Stamped onto every
-  /// response (`ServeResponse::shard`) and matched against the fault
-  /// plan's `target_shard` / `target_replica_label` for targeted worker
-  /// stalls; empty (the default) for a monolithic deployment. Fabric
-  /// replicas use "group#index" labels (see fabric/fabric.h).
+  /// Label of the fabric replica this service instance backs
+  /// ("group#index", see fabric/fabric.h). Stamped onto every response
+  /// (`ServeResponse::shard`) and matched against the fault plan's
+  /// `target_replica_label` for targeted worker stalls; empty (the
+  /// default) for a standalone deployment.
   std::string shard_label;
   /// Default backoff schedule for SubmitWithRetry; per-call policies
   /// override it. The defaults here ARE the historical compile-time
@@ -219,7 +219,7 @@ class PredictionService {
 
   // Hash/equality for exact feature-vector cache keys: doubles hashed by
   // bit pattern, so a hit implies bit-identical input. Public because the
-  // ShardRouter keys its routing cache the same way.
+  // fabric keys its route cache the same way.
   struct FeatureHash {
     size_t operator()(const linalg::Vector& v) const;
   };
@@ -259,9 +259,9 @@ class PredictionService {
 
   void WorkerLoop();
   void ProcessBatch(std::vector<Pending>* batch, WorkerScratch* scratch);
-  void Respond(Pending* pending, core::Prediction prediction,
-               ResponseSource source, std::string degraded_reason,
-               uint64_t generation);
+  /// Stamps the service label, trace id and latency onto `response` and
+  /// resolves the pending request's future with it.
+  void Respond(Pending* pending, ServeResponse response);
 
   // Cached entries are tagged with the model generation that produced
   // them; a hot-swap makes older entries miss (and get overwritten) rather
@@ -282,6 +282,16 @@ class PredictionService {
   std::vector<std::thread> workers_;
   std::once_flag shutdown_once_;
 };
+
+/// The one builder of degraded answers anywhere in the serving stack (the
+/// service's own fallbacks and the fabric's admission-shed and
+/// fabric-exhausted answers): the calibrated optimizer-cost prediction for
+/// `request`, labeled kOptimizerFallback with `reason`, echoing the
+/// request's trace id.
+ServeResponse FallbackResponse(const CostCalibration& calibration,
+                               const ServeRequest& request,
+                               std::string reason, uint64_t generation = 0,
+                               bool anomalous = false);
 
 /// Admission control riding on the service: the WorkloadManager thresholds
 /// applied to a served response. Works for degraded responses too — a

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "catalog/tpcds.h"
 #include "engine/simulator.h"
@@ -173,6 +174,89 @@ TEST(FaultPlanTest, FileRoundTripPreservesEveryField) {
   EXPECT_EQ(a.str(), b.str());
   EXPECT_EQ(loaded.value().seed, plan.seed);
   EXPECT_EQ(loaded.value().ToString(), plan.ToString());
+}
+
+/// A version-4 fault plan stream laid out by hand: v4 carried four shard
+/// fields (target name, counted kill, stall probability and seconds)
+/// between the serve probabilities and the replica fields.
+std::string V4PlanBytes(const std::string& shard,
+                        uint64_t shard_kill_after_requests,
+                        double shard_stall_probability) {
+  std::ostringstream os;
+  BinaryWriter w(os);
+  w.WriteU32(0x51505046);  // "QPPF"
+  w.WriteU32(4);
+  w.WriteU64(7);  // seed
+  for (const double d : {0.1, 4.0, 0.0, 2.0, 0.0, 2.0, 0.0}) {
+    w.WriteDouble(d);  // engine: disk stall .. node failure probability
+  }
+  w.WriteI64(1);  // max_failed_nodes
+  for (const double d : {0.5, 0.0, 0.25}) w.WriteDouble(d);
+  for (const double d : {0.2, 0.0, 0.0, 0.0}) w.WriteDouble(d);  // serve
+  w.WriteString(shard);
+  w.WriteU64(shard_kill_after_requests);
+  w.WriteDouble(shard_stall_probability);
+  w.WriteDouble(30.0);  // shard stall seconds
+  w.WriteString("golf ball#1");
+  w.WriteU64(10);  // replica_kill_after_picks
+  w.WriteDouble(0.1);
+  w.WriteDouble(20.0);
+  w.WriteDouble(0.3);  // model_poison_probability
+  w.WriteDouble(50.0);
+  return os.str();
+}
+
+std::string WritePlanBytes(const std::string& name, const std::string& bytes) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream out(path, std::ios::binary);
+  out << bytes;
+  return path;
+}
+
+TEST(FaultPlanTest, UntargetedV4PlanLoadsAndRoundTripsAsV5) {
+  const std::string path =
+      WritePlanBytes("plan_v4.bin", V4PlanBytes("", 0, 0.0));
+  const auto loaded = LoadFaultPlanFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  const FaultPlan& plan = loaded.value();
+  EXPECT_EQ(plan.seed, 7u);
+  EXPECT_EQ(plan.engine.disk_stall_probability, 0.1);
+  EXPECT_EQ(plan.engine.work_mem_multiplier, 0.25);
+  EXPECT_EQ(plan.serve.submit_reject_probability, 0.2);
+  EXPECT_EQ(plan.serve.target_replica_label, "golf ball#1");
+  EXPECT_EQ(plan.serve.replica_kill_after_picks, 10u);
+  EXPECT_EQ(plan.serve.replica_stall_seconds, 20.0);
+  EXPECT_EQ(plan.serve.model_poison_multiplier, 50.0);
+
+  // Re-serialized, it is a v5 stream that reads back byte-identically.
+  std::ostringstream a;
+  BinaryWriter wa(a);
+  plan.Write(&wa);
+  std::istringstream in(a.str());
+  BinaryReader r(in);
+  EXPECT_EQ(r.ReadU32(), 0x51505046u);
+  EXPECT_EQ(r.ReadU32(), 5u);
+  std::istringstream again(a.str());
+  BinaryReader r2(again);
+  const FaultPlan back = FaultPlan::Read(&r2);
+  std::ostringstream b;
+  BinaryWriter wb(b);
+  back.Write(&wb);
+  EXPECT_EQ(a.str(), b.str());
+}
+
+TEST(FaultPlanTest, ShardTargetedV4PlanIsRefusedWithTheReplicaSpelling) {
+  for (const auto& [kill, stall] :
+       {std::pair<uint64_t, double>{25, 0.0}, {0, 0.3}}) {
+    const std::string path = WritePlanBytes(
+        "plan_v4_shard.bin", V4PlanBytes("feather", kill, stall));
+    const auto loaded = LoadFaultPlanFile(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().message().find(
+                  "target_replica_label = \"feather#0\""),
+              std::string::npos)
+        << loaded.status().message();
+  }
 }
 
 TEST(FaultPlanTest, LoadRejectsGarbage) {

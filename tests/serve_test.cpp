@@ -1,7 +1,7 @@
 // Unit tests for the serving building blocks: the bounded MPMC queue
 // (blocking, backpressure, close-then-drain), the LRU result cache, the
-// latency histogram, the optimizer-cost calibration, and the hot-swap
-// model registry.
+// latency histogram, the optimizer-cost calibration, the hot-swap model
+// registry, and the result cache's handling of anomalous answers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,11 +13,13 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/trace.h"
 #include "serve/bounded_queue.h"
 #include "serve/circuit_breaker.h"
 #include "serve/cost_fallback.h"
 #include "serve/lru_cache.h"
 #include "serve/model_registry.h"
+#include "serve/prediction_service.h"
 #include "serve/service_stats.h"
 
 namespace qpp::serve {
@@ -446,6 +448,67 @@ TEST(ServiceStatsTest, EveryFallbackReasonHasItsOwnCounter) {
   EXPECT_NE(report.find("shutdown"), std::string::npos);
   EXPECT_NE(report.find("overload"), std::string::npos);
   EXPECT_NE(report.find("circuit-open"), std::string::npos);
+}
+
+// ---------------------------------------------------- anomalous caching --
+
+TEST(ResultCacheTest, RepeatedAnomalousPlanSkipsTheModel) {
+  Rng rng(7);
+  std::vector<ml::TrainingExample> examples;
+  for (int i = 0; i < 48; ++i) {
+    ml::TrainingExample ex;
+    const double a = rng.Uniform(1.0, 10.0);
+    const double b = rng.Uniform(1.0, 10.0);
+    ex.query_features = {a, b, a * b};
+    ex.metrics.elapsed_seconds = 0.5 * a * b;
+    ex.metrics.records_accessed = 1000.0 * a;
+    ex.metrics.message_count = 10.0 * b;
+    examples.push_back(std::move(ex));
+  }
+  core::PredictorConfig cfg;
+  cfg.kcca.solver = ml::KccaSolver::kExact;
+  core::Predictor model(cfg);
+  model.Train(examples);
+  const linalg::Vector far_probe(3, 1e12);
+  ASSERT_TRUE(model.Predict(far_probe).anomalous);
+
+  ModelRegistry registry;
+  registry.Publish(model);
+  obs::TraceRecorder trace;
+  ServiceConfig config;
+  config.num_workers = 1;
+  config.trace = &trace;
+  CostCalibration cal;
+  cal.fitted = true;
+  PredictionService service(&registry, config, cal);
+
+  const ServeResponse first = service.Submit({far_probe, 1e4}).get();
+  const ServiceStatsSnapshot after_first = service.stats();
+  const ServeResponse second = service.Submit({far_probe, 1e4}).get();
+  service.Shutdown();
+  const ServiceStatsSnapshot after_second = service.stats();
+
+  // The repeat is the same labeled fallback, byte for byte...
+  EXPECT_EQ(first.degraded_reason, "anomalous");
+  EXPECT_EQ(second.degraded_reason, first.degraded_reason);
+  EXPECT_EQ(second.source, first.source);
+  EXPECT_EQ(second.model_generation, first.model_generation);
+  EXPECT_EQ(second.prediction.metrics.ToVector(),
+            first.prediction.metrics.ToVector());
+  EXPECT_EQ(second.prediction.confidence, first.prediction.confidence);
+  EXPECT_EQ(second.prediction.anomalous, first.prediction.anomalous);
+  EXPECT_EQ(second.prediction.predicted_type,
+            first.prediction.predicted_type);
+  // ...counted as an anomalous fallback (not a cache hit), answered from
+  // the cached model prediction without running the model again.
+  EXPECT_EQ(after_second.model_predictions, after_first.model_predictions);
+  EXPECT_EQ(after_second.cache_hits, 0u);
+  EXPECT_EQ(after_second.fallback_anomalous, 2u);
+  size_t predict_spans = 0;
+  for (const obs::TraceEvent& e : trace.Events()) {
+    if (e.name == "predict" && e.phase == 'X') ++predict_spans;
+  }
+  EXPECT_EQ(predict_spans, 1u);
 }
 
 // -------------------------------------------------------------- breaker --
